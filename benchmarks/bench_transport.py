@@ -1,18 +1,17 @@
 """Transport overhead on a federated L2SVM loop (documented, not gated).
 
-Runs the same row-federated L2SVM training loop three times — sites as
-in-process thread sims (``transport=inproc``), sites as real OS worker
-processes behind coordinator-owned sockets (``transport=proc``), and
-sites behind workers listening on dialable loopback addresses
-(``transport=tcp``) — and reports the wall-clock ratios plus each
-process transport's wire accounting.  The ratios are *documented* rather
-than gated: the process transports buy genuine SIGKILL-able isolation
-(and, for tcp, survivable links), and their cost (pickling every
-request, socket round trips, heartbeats) depends heavily on the host.
-Worker spawn cost is excluded by warming each pool before timing,
-matching the long-lived-daemon deployment the transports model.
+Runs the same row-federated L2SVM training loop twice — sites as
+in-process thread sims (``transport=inproc``), and sites behind real OS
+worker processes listening on dialable loopback addresses
+(``transport=tcp``) — and reports the wall-clock ratio plus the worker
+transport's wire accounting.  The ratio is *documented* rather than
+gated: the worker transport buys genuine SIGKILL-able isolation and
+survivable links, and its cost (pickling every request, socket round
+trips, heartbeats) depends heavily on the host.  Worker spawn cost is
+excluded by warming the pool before timing, matching the long-lived-
+daemon deployment the transport models.
 
-Run directly to write ``BENCH_transport.json``::
+Run directly to write ``benchmarks/results/BENCH_transport.json``::
 
     PYTHONPATH=src python benchmarks/bench_transport.py [out.json]
 """
@@ -20,6 +19,7 @@ Run directly to write ``BENCH_transport.json``::
 from __future__ import annotations
 
 import json
+import os
 import sys
 import time
 
@@ -84,57 +84,48 @@ def _timed_run(config, data, split, inputs):
 def measure() -> dict:
     data, split, inputs = _inputs()
     inproc_cfg = ReproConfig()
-    proc_cfg = ReproConfig(transport="proc")
     tcp_cfg = ReproConfig(transport="tcp")
-    # warm the worker pools (interpreter + numpy import per process) so the
-    # measured ratios reflect steady-state RPC overhead, not spawn cost
-    _timed_run(proc_cfg, data, split, inputs)
+    # warm the worker pool (interpreter + numpy import per process) so the
+    # measured ratio reflects steady-state RPC overhead, not spawn cost
     _timed_run(tcp_cfg, data, split, inputs)
-    inproc_s = proc_s = tcp_s = float("inf")
-    inproc_obj = proc_obj = tcp_obj = None
+    inproc_s = tcp_s = float("inf")
+    inproc_obj = tcp_obj = None
     for _ in range(ROUNDS):
         elapsed, inproc_obj = _timed_run(inproc_cfg, data, split, inputs)
         inproc_s = min(inproc_s, elapsed)
-        elapsed, proc_obj = _timed_run(proc_cfg, data, split, inputs)
-        proc_s = min(proc_s, elapsed)
         elapsed, tcp_obj = _timed_run(tcp_cfg, data, split, inputs)
         tcp_s = min(tcp_s, elapsed)
     from repro.net.proc import ProcTransport
-    from repro.net.tcp import TcpTransport
 
     snap = ProcTransport.default().snapshot()
-    tcp_snap = TcpTransport.default().snapshot()
     return {
         "workload": "federated L2SVM, 10 sweeps, "
                     f"{ROWS}x{FEATURES} over 2 sites",
         "rounds": ROUNDS,
+        "cpu_count": os.cpu_count(),
         "inproc_s": inproc_s,
-        "proc_s": proc_s,
         "tcp_s": tcp_s,
-        "proc_over_inproc": proc_s / inproc_s,
         "tcp_over_inproc": tcp_s / inproc_s,
-        "results_identical": bool(inproc_obj == proc_obj == tcp_obj),
-        "proc_frames_sent": snap["frames_sent"],
-        "proc_bytes_sent": snap["bytes_sent"],
-        "proc_bytes_received": snap["bytes_received"],
-        "tcp_frames_sent": tcp_snap["frames_sent"],
-        "tcp_bytes_sent": tcp_snap["bytes_sent"],
-        "tcp_reconnects": tcp_snap["reconnects"],
-        "worker_deaths": snap["worker_deaths"] + tcp_snap["worker_deaths"],
+        "results_identical": bool(inproc_obj == tcp_obj),
+        "tcp_frames_sent": snap["frames_sent"],
+        "tcp_bytes_sent": snap["bytes_sent"],
+        "tcp_bytes_received": snap["bytes_received"],
+        "tcp_reconnects": snap["reconnects"],
+        "worker_deaths": snap["worker_deaths"],
         "gated": False,
     }
 
 
 def main(argv=None) -> int:
-    out_path = (argv or sys.argv[1:] or ["BENCH_transport.json"])[0]
+    default = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                           "results", "BENCH_transport.json")
+    out_path = (argv or sys.argv[1:] or [default])[0]
     results = measure()
     with open(out_path, "w", encoding="utf-8") as handle:
         json.dump(results, handle, indent=2, sort_keys=True)
         handle.write("\n")
     print(
         f"inproc {results['inproc_s'] * 1e3:.1f}ms  "
-        f"proc {results['proc_s'] * 1e3:.1f}ms "
-        f"({results['proc_over_inproc']:.2f}x)  "
         f"tcp {results['tcp_s'] * 1e3:.1f}ms "
         f"({results['tcp_over_inproc']:.2f}x)  "
         f"(identical={results['results_identical']})"

@@ -1,7 +1,9 @@
 """Transport chaos demo: kill workers or sever links mid-run, lose nothing.
 
 Runs the two workloads of the repro.net acceptance bar with federated
-sites and RDD executors as *real OS processes*, under a seeded fault plan:
+sites and RDD executors as *real OS processes* listening on loopback
+addresses (``--transport tcp``, the only process transport), under a
+seeded fault plan:
 
 * a row-federated L2SVM training loop — the faulted site worker recovers
   (respawn + publication replay, or reconnect + same-id resend) and the
@@ -10,15 +12,14 @@ sites and RDD executors as *real OS processes*, under a seeded fault plan:
   in-flight task is resent under the same request id (the dedup cache
   makes the retry idempotent).
 
-Two modes:
+Two fault families:
 
-* ``--transport proc`` (default) — workers behind coordinator-owned
-  pipes; the ``fed.worker``/``rdd.worker`` points SIGKILL one mid-run.
-* ``--transport tcp`` — workers listening on real loopback addresses;
-  the ``net.partition``/``net.drop`` wire points sever the link
-  mid-stream and vanish frames, so recovery is reconnect + resend with
-  the request answered from the worker's dedup cache (STATUS_REPLAY),
-  never re-executed.
+* ``--faults kill`` (default) — the ``fed.worker``/``rdd.worker`` points
+  SIGKILL one worker mid-run: peer dead, so respawn + replay.
+* ``--faults wire`` — the ``net.partition``/``net.drop`` wire points sever
+  the link mid-stream and vanish frames, so recovery is reconnect +
+  resend with the request answered from the worker's dedup cache
+  (STATUS_REPLAY), never re-executed.
 
 Both results are compared bit-for-bit against fault-free in-process
 runs, and a JSON report (CI asserts on it) is written when given a path.
@@ -27,7 +28,7 @@ Run:
 
     PYTHONPATH=src python examples/proc_transport_chaos.py [report.json]
     PYTHONPATH=src python examples/proc_transport_chaos.py \
-        --transport tcp [report.json]
+        --faults wire [report.json]
 """
 
 import argparse
@@ -104,18 +105,18 @@ def run_matmul(config):
     return np.asarray(result.matrix("Z")), ml
 
 
-#: Per-mode chaos overrides for the two workloads.  The proc points
-#: SIGKILL a worker mid-request; the tcp points sever the link mid-stream
+#: Per-family chaos overrides for the two workloads.  The kill points
+#: SIGKILL a worker mid-request; the wire points sever the link mid-stream
 #: (reconnect + same-id resend), duplicate frames (absorbed by the dedup
 #: cache — guarantees observed STATUS_REPLAY answers), and vanish the
 #: occasional frame (recovered by the request-timeout resend, so the tcp
 #: runs also shrink the round-trip deadline).
-_CHAOS_MODES = {
-    "proc": {
+_CHAOS_FAMILIES = {
+    "kill": {
         "fed": {"fault_spec": "fed.worker:fail=2", "fault_seed": 61},
         "rdd": {"fault_spec": "rdd.worker:fail=2", "fault_seed": 67},
     },
-    "tcp": {
+    "wire": {
         "fed": {
             "fault_spec": "net.partition:fail=2;net.dup:fail=2;"
                           "net.drop:fail=1",
@@ -136,13 +137,14 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("out", nargs="?", default=None,
                         help="write the JSON report here")
-    parser.add_argument("--transport", choices=["proc", "tcp"],
-                        default="proc",
-                        help="which process transport (and fault family) "
-                             "to exercise")
+    parser.add_argument("--transport", choices=["tcp"], default="tcp",
+                        help="the process transport to exercise")
+    parser.add_argument("--faults", choices=sorted(_CHAOS_FAMILIES),
+                        default="kill",
+                        help="SIGKILL workers, or fault the wire")
     args = parser.parse_args(argv)
     mode = args.transport
-    chaos = _CHAOS_MODES[mode]
+    chaos = _CHAOS_FAMILIES[args.faults]
 
     clean_w, __ = run_federated(ReproConfig())
     chaos_w, fed_ml = run_federated(ReproConfig(
@@ -174,6 +176,7 @@ def main(argv=None) -> int:
 
     report = {
         "transport": mode,
+        "faults": args.faults,
         "federated": {"identical": fed_identical, **fed_section},
         "rdd": {"identical": rdd_identical, **rdd_section},
     }
@@ -182,7 +185,7 @@ def main(argv=None) -> int:
             json.dump(report, handle, indent=2, sort_keys=True)
             handle.write("\n")
         print(f"wrote {args.out}")
-    if mode == "proc":
+    if args.faults == "kill":
         ok = (fed_identical and rdd_identical
               and fed_section["worker_respawns"] > 0
               and rdd_section["worker_respawns"] > 0)

@@ -73,11 +73,11 @@ class ReproConfig:
 
     # --- transport ------------------------------------------------------------
     #: Where federated sites and RDD tasks execute: ``"inproc"`` (thread
-    #: simulations, zero overhead — the default), ``"proc"`` (real
-    #: spawn-context worker processes behind the :mod:`repro.net` frame
-    #: protocol, SIGKILL-able by the fault injector), or ``"tcp"``
-    #: (workers listening on real host:port addresses with reconnecting
-    #: links; gains the ``net.*`` wire-level fault points).
+    #: simulations, zero overhead — the default) or ``"tcp"`` (real
+    #: spawn-context worker processes listening on host:port addresses,
+    #: behind the :mod:`repro.net` frame protocol: heartbeats,
+    #: reconnecting links, SIGKILL-able by the ``fed.worker``/
+    #: ``rdd.worker`` fault points, and the ``net.*`` wire-level points).
     transport: str = "inproc"
     #: Bind/advertise host of tcp-transport workers.  Loopback by
     #: default; a LAN address makes workers remotely addressable.
@@ -201,10 +201,9 @@ class ReproConfig:
             raise ValueError("block_size must be >= 1")
         if self.reuse_policy not in ("none", "full", "full_partial"):
             raise ValueError(f"unknown reuse policy: {self.reuse_policy!r}")
-        if self.transport not in ("inproc", "proc", "tcp"):
+        if self.transport not in ("inproc", "tcp"):
             raise ValueError(
-                f"unknown transport {self.transport!r} "
-                f"(use inproc, proc, or tcp)"
+                f"unknown transport {self.transport!r} (use inproc or tcp)"
             )
         if not self.transport_host:
             raise ValueError("transport_host must be a non-empty host")

@@ -1,24 +1,21 @@
 """repro.net: the process-boundary transport layer (DESIGN.md §13).
 
-Selects *where* federated sites and RDD tasks execute:
+Selects *where* federated sites, RDD tasks and scoring shards execute:
 
 * :class:`InProcTransport` — thread simulations, zero overhead, the
   tier-1 default;
-* :class:`ProcTransport` — real spawn-context OS processes speaking the
+* :class:`ProcTransport` — the one worker pool: spawn-context OS
+  processes listening on dialable TCP addresses, speaking the
   length-prefixed, checksummed, request-id-tagged frame protocol of
-  :mod:`repro.net.frames`, with heartbeat liveness, idempotent retry by
-  request-id dedup, and worker respawn that replays published state;
-* :class:`TcpTransport` — workers listening on real, dialable TCP
-  addresses kept in a remote-addressable registry, with connect
-  timeouts, reconnect-with-backoff link repair, and partition semantics
-  (peer dead = respawn + replay; link down = reconnect + same-id resend
-  answered from the dedup cache);
-* :class:`ChaosTransport` — the tcp transport under seeded wire-level
-  fault injection (``net.drop``/``net.delay_ms``/``net.dup``/
-  ``net.corrupt``/``net.partition``).
+  :mod:`repro.net.frames`, with heartbeat liveness, reconnect + same-id
+  resend answered from a dedup cache when a link drops, and respawn +
+  publication replay when a worker dies;
+* :class:`ChaosTransport` — the same pool under seeded wire-level fault
+  injection (``net.drop``/``net.delay_ms``/``net.dup``/``net.corrupt``/
+  ``net.partition``).
 
 ``for_config``/``registry_for`` resolve the mode from a
-:class:`~repro.config.ReproConfig` (``transport="inproc"|"proc"|"tcp"``).
+:class:`~repro.config.ReproConfig` (``transport="inproc"|"tcp"``).
 """
 
 from repro.net.transport import (
@@ -32,7 +29,6 @@ __all__ = [
     "ChaosTransport",
     "InProcTransport",
     "ProcTransport",
-    "TcpTransport",
     "Transport",
     "for_config",
     "registry_for",
@@ -45,10 +41,6 @@ def __getattr__(name):
         from repro.net.proc import ProcTransport
 
         return ProcTransport
-    if name == "TcpTransport":
-        from repro.net.tcp import TcpTransport
-
-        return TcpTransport
     if name == "ChaosTransport":
         from repro.net.chaos import ChaosTransport
 

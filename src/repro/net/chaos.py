@@ -1,6 +1,6 @@
 """ChaosTransport: deterministic wire-level fault injection over TCP.
 
-A network-fault interposer layered on :class:`~repro.net.tcp.TcpTransport`
+A network-fault interposer layered on :class:`~repro.net.proc.ProcTransport`
 and wired into the :mod:`repro.resilience.faults` grammar, so the same
 ``POINT:p=F|fail=N|latency_ms=F`` spec that already drives spill/worker
 chaos can drop, delay, duplicate, bit-flip, and sever frames — each point
@@ -31,8 +31,9 @@ Wire-level points (:data:`NET_POINTS`)
 ================  ========================================================
 
 Faults are only armed while a resilience manager with net rules is bound
-(one is bound per run by the execution context), so hosting traffic that
-precedes a run and the orderly BYE drain stay clean.  Drop/dup/corrupt
+(one is bound per run by the execution context, or for its lifetime by a
+sharded scoring service), so hosting traffic that precedes a run and the
+orderly BYE drain stay clean.  Drop/dup/corrupt
 apply to REQ frames only: chaos must never corrupt its own shutdown.
 """
 
@@ -43,7 +44,7 @@ from typing import Optional
 
 from repro.errors import TransportClosedError
 from repro.net import frames
-from repro.net.tcp import TcpTransport
+from repro.net.proc import ProcTransport
 
 #: The wire-level fault points, registered in
 #: :data:`repro.resilience.faults.KNOWN_POINTS`.
@@ -52,19 +53,23 @@ NET_POINTS = (
 )
 
 
+def plan_targets_network(plan) -> bool:
+    """Whether a parsed :class:`~repro.resilience.faults.FaultPlan` has a
+    wire-level rule (a ``*`` clause expands to every point, these too)."""
+    return plan is not None and any(point in NET_POINTS for point in plan.rules)
+
+
 def spec_targets_network(spec: Optional[str]) -> bool:
     """Whether a fault spec names any wire-level point (``net.*`` or ``*``)."""
     if not spec:
         return False
-    for clause in spec.split(";"):
-        point = clause.partition(":")[0].strip()
-        if point == "*" or point.startswith("net."):
-            return True
-    return False
+    from repro.resilience.faults import FaultPlan
+
+    return plan_targets_network(FaultPlan.parse(spec))
 
 
-class ChaosTransport(TcpTransport):
-    """TCP transport with seeded wire faults (see module docstring)."""
+class ChaosTransport(ProcTransport):
+    """The worker transport with seeded wire faults (see module docstring)."""
 
     name = "chaos_tcp"
 

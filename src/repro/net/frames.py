@@ -1,14 +1,13 @@
 """Length-prefixed, checksummed, request-id-tagged frames (DESIGN.md §13).
 
 Every message between the coordinator and a transport worker is one frame
-on a byte stream (a TCP socket — localhost pipes for the proc transport,
-loopback/LAN addresses for the tcp transport).  The fixed 20-byte header
-carries a magic/version, the frame kind, a 64-bit request id, the payload
-length, and a CRC32 over those header fields; the payload is followed by
-its own CRC32.  The request id is what makes retries *idempotent*: a
-worker that already served an id replays the recorded response instead of
-re-executing the operation, so a retry after a lost ACK can never
-double-execute a side-effecting op.
+on a byte stream (a TCP socket to the worker's loopback or LAN address).
+The fixed 20-byte header carries a magic/version, the frame kind, a 64-bit
+request id, the payload length, and a CRC32 over those header fields; the
+payload is followed by its own CRC32.  The request id is what makes retries
+*idempotent*: a worker that already served an id replays the recorded
+response instead of re-executing the operation, so a retry after a lost
+ACK can never double-execute a side-effecting op.
 
 A SIGKILL or a severed link can land mid-write, leaving a partial or torn
 frame on the stream, and a faulty wire can flip bits anywhere in a frame.

@@ -1,36 +1,64 @@
-"""ProcTransport: federated sites and RDD executors as real OS processes.
+"""ProcTransport: federated sites, RDD executors and scoring shards as
+real OS processes on dialable TCP addresses.
 
-The coordinator keeps two small fixed pools of spawn-context workers —
-site hosts (federated data plane) and task executors (RDD tasks) — each
-connected over a localhost TCP socket speaking the :mod:`repro.net.frames`
-protocol.  Pools are deliberately small and shared: a qa fuzz sweep hosts
-hundreds of site addresses, so addresses hash onto site workers by
-``crc32(address) % n`` instead of mapping one process per address.
+This is the one worker pool of the system.  The coordinator keeps small
+fixed pools of spawn-context workers by role — site hosts (federated
+data plane), task executors (RDD tasks), and any pool a caller adds
+(:meth:`ProcTransport.add_pool`; sharded serving adds one ``serve``
+worker per shard) — and talks to each over a TCP socket speaking the
+:mod:`repro.net.frames` protocol.  Pools are deliberately small and
+shared: a qa fuzz sweep hosts hundreds of site addresses, so addresses
+hash onto site workers by ``crc32(address) % n`` instead of mapping one
+process per address.
 
-Failure model
--------------
-* **Liveness** — workers heartbeat on their socket; while awaiting a
+Worker lifecycle
+----------------
+* **Spawn + register** — each worker *listens* on its own ``host:port``
+  (loopback by default, a LAN address via ``transport_host``) and
+  registers that address through a one-shot bootstrap connection.  The
+  coordinator keeps the **address book** (``(role, index) -> (host,
+  port)``, surfaced in the stats snapshot).
+* **Dial + READY** — the coordinator dials the worker with a connect
+  timeout and checks the pid in its READY greeting, so a half-open or
+  recycled port is never mistaken for the right peer.
+* **Heartbeat** — workers heartbeat on their socket; while awaiting a
   response the coordinator counts silent grace windows
-  (``heartbeats_missed``) and probes the process.  EOF, a torn frame, or
-  a dead-and-silent process all mean the worker died.
-* **Respawn + replay** — a dead site worker loses its hosted tensors.
-  The coordinator keeps a per-address *publication log* (every ``put``,
-  ``update``, ``execute_and_store``, ``stop``/``start``, in order) and
-  replays it into the fresh incarnation — lineage-style recovery: the
-  ops are deterministic, so the republished state is bit-identical.
-  Task executors are stateless and respawn bare.
-* **Idempotent resend** — the in-flight request is resent with the SAME
-  request id.  If the old incarnation had executed it and only the ACK
-  was lost (wedged worker, resend-on-timeout), the worker's dedup cache
-  replays the recorded response instead of double-executing
-  (``dedup_hits``).
-* **Chaos** — with a resilience manager bound, the ``fed.worker`` /
-  ``rdd.worker`` fault points SIGKILL the worker right after a request
-  is sent, exercising exactly this recovery path on a seeded schedule.
+  (``heartbeats_missed``) and probes the process.
+* **Link down vs peer dead** — the two failures the coordinator must
+  tell apart:
 
-The transport is a process-global singleton (:meth:`ProcTransport.default`)
-so repeated runs — the qa lattice, benches — reuse warm workers instead
-of paying a Python+numpy spawn per run.
+  ==============  =======================================================
+  link down       process alive, connection severed (EOF, torn frame):
+                  redial with :class:`~repro.resilience.retry.RetryPolicy`
+                  capped-expo backoff + jitter, then resend the in-flight
+                  request with the SAME id — if the worker executed it
+                  during the partition, its dedup cache answers
+                  STATUS_REPLAY, so the request never executes twice
+  peer dead       process gone, redial budget exhausted, or a different
+                  pid answered: SIGKILL + reap whatever is left, spawn a
+                  fresh incarnation at a fresh address, replay the
+                  publication log, then resend with the SAME id
+  ==============  =======================================================
+
+* **Replay** — the coordinator keeps a per-worker *publication log*
+  (every site ``put``, ``update``, ``execute_and_store``,
+  ``stop``/``start``, and any request a caller sends with a ``log_key``,
+  in order) and replays it into a fresh incarnation — lineage-style
+  recovery: the ops are deterministic, so the republished state is
+  bit-identical.  Task executors log nothing and respawn bare.
+* **Lost ACK** — a request that gets no response within the request
+  timeout is resent once with the same id; the dedup cache replays the
+  recorded response if the worker had executed it.
+* **Chaos** — with a resilience manager bound, the fault point a request
+  names (``fed.worker``, ``rdd.worker``, ``serve.worker``) SIGKILLs the
+  worker right after the request is sent, exercising exactly the
+  peer-dead path on a seeded schedule.
+* **Exit** — BYE drains a worker; a worker whose coordinator died
+  without BYE exits on its own (:func:`repro.net.worker.worker_main`).
+
+:meth:`ProcTransport.default` keeps a process-global instance so
+repeated runs — the qa lattice, benches — reuse warm workers instead of
+paying a Python+numpy spawn per run.
 """
 
 from __future__ import annotations
@@ -39,6 +67,7 @@ import atexit
 import itertools
 import os
 import pickle
+import random
 import signal
 import socket
 import threading
@@ -57,24 +86,28 @@ from repro.federated.site import FederatedWorkerRegistry
 from repro.net import frames, serde
 from repro.net.transport import STAT_KEYS, Transport
 from repro.net.worker import STATUS_REPLAY, worker_main
+from repro.resilience.retry import RetryPolicy
 
-#: How long one worker gets to spawn, import, connect, and handshake.
+#: How long one worker gets to spawn, import, and register its address.
 READY_TIMEOUT_S = 60.0
 
 
 class _Handle:
-    """One worker incarnation: process + its connected socket."""
+    """One worker incarnation: process, its session socket, its address."""
 
-    __slots__ = ("role", "index", "incarnation", "process", "sock", "pid")
+    __slots__ = ("role", "index", "incarnation", "process", "sock", "pid",
+                 "host", "port")
 
     def __init__(self, role: str, index: int, incarnation: int, process,
-                 sock: socket.socket, pid: int):
+                 sock: socket.socket, pid: int, host: str, port: int):
         self.role = role
         self.index = index
         self.incarnation = incarnation
         self.process = process
         self.sock = sock
         self.pid = pid
+        self.host = host
+        self.port = port
 
     def alive(self) -> bool:
         return self.process.is_alive()
@@ -213,16 +246,25 @@ class ProxyRegistry(FederatedWorkerRegistry):
 
 
 class ProcTransport(Transport):
-    """Process-boundary transport (see module docstring)."""
+    """The worker-process transport (see module docstring)."""
 
-    name = "proc"
+    name = "tcp"
 
     _instance: Optional["ProcTransport"] = None
     _instance_lock = threading.Lock()
 
+    #: Ceiling on link repairs for ONE attempt, so a link that dies
+    #: instantly every time cannot spin forever (each repair already
+    #: burned a full reconnect budget).
+    MAX_LINK_REPAIRS = 8
+
     def __init__(self, site_workers: int = 2, task_workers: int = 2,
                  heartbeat_s: float = 0.25, request_timeout_s: float = 60.0,
-                 respawn_limit: int = 3, miss_grace: float = 3.0):
+                 respawn_limit: int = 3, miss_grace: float = 3.0,
+                 host: str = "127.0.0.1", connect_timeout_s: float = 5.0,
+                 reconnect_retries: int = 4,
+                 reconnect_backoff_ms: float = 20.0,
+                 reconnect_backoff_max_ms: float = 500.0):
         if site_workers < 1 or task_workers < 1:
             raise TransportError("transport needs at least one worker per pool")
         if heartbeat_s <= 0 or miss_grace < 1.0:
@@ -239,22 +281,31 @@ class ProcTransport(Transport):
         #: Silent grace windows (multiples of the heartbeat interval)
         #: before a missed heartbeat is counted and the process probed.
         self.miss_grace = miss_grace
-        self._pools: Dict[str, List[Optional[_Handle]]] = {
-            "fed": [None] * site_workers,
-            "rdd": [None] * task_workers,
-        }
-        self._slot_locks: Dict[str, List[threading.RLock]] = {
-            role: [threading.RLock() for __ in pool]
-            for role, pool in self._pools.items()
-        }
+        self.host = host
+        self.connect_timeout_s = connect_timeout_s
+        self.reconnect_policy = RetryPolicy(
+            max_retries=reconnect_retries,
+            backoff_ms=reconnect_backoff_ms,
+            max_backoff_ms=reconnect_backoff_max_ms,
+        )
+        # deterministic jitter stream for reconnect backoff
+        self._reconnect_rng = random.Random(0x7C9D1EB3)
+        self._pools: Dict[str, List[Optional[_Handle]]] = {}
+        self._slot_locks: Dict[str, List[threading.RLock]] = {}
+        self.add_pool("fed", site_workers)
+        self.add_pool("rdd", task_workers)
         self._seq = itertools.count(1)
         self._seq_lock = threading.Lock()
         self._task_rr = itertools.count()
         self._stats = {key: 0 for key in STAT_KEYS}
         self._stats_lock = threading.Lock()
-        #: address -> ordered request tuples to replay into a respawn.
-        self._log: Dict[str, List[Tuple]] = {}
+        #: (role, index) -> log key -> ordered requests to replay into a
+        #: respawn of that worker (site workers key by address).
+        self._log: Dict[Tuple[str, int], Dict[str, List[Tuple]]] = {}
         self._log_lock = threading.RLock()
+        #: The remote-addressable registry: (role, index) -> (host, port).
+        self._addresses: Dict[Tuple[str, int], Tuple[str, int]] = {}
+        self._addresses_lock = threading.Lock()
         self._registry = ProxyRegistry(self)
         self._resilience = None
         self._closed = False
@@ -274,6 +325,9 @@ class ProcTransport(Transport):
             "heartbeat_s": config.heartbeat_interval_s,
             "miss_grace": config.heartbeat_miss_grace,
             "request_timeout_s": config.transport_request_timeout_s,
+            "host": config.transport_host,
+            "connect_timeout_s": config.tcp_connect_timeout_s,
+            "reconnect_retries": config.tcp_reconnect_retries,
         }
 
     @classmethod
@@ -303,7 +357,7 @@ class ProcTransport(Transport):
 
     def run_task(self, task) -> List:
         index = next(self._task_rr) % len(self._pools["rdd"])
-        return self._round_trip("rdd", index, ("task", task), "rdd.worker")
+        return self.call("rdd", index, ("task", task), "rdd.worker")
 
     def bind_resilience(self, resilience) -> None:
         self._resilience = resilience
@@ -318,61 +372,88 @@ class ProcTransport(Transport):
             1 for pool in self._pools.values()
             for handle in pool if handle is not None and handle.alive()
         )
+        with self._addresses_lock:
+            snap["addresses"] = {
+                f"{role}-{index}": f"{host}:{port}"
+                for (role, index), (host, port) in sorted(self._addresses.items())
+            }
         return snap
 
     def close(self) -> None:
         if self._closed:
             return
         self._closed = True
-        for role, pool in self._pools.items():
-            for index, handle in enumerate(pool):
-                if handle is None:
-                    continue
-                try:
-                    frames.send_frame(handle.sock, frames.BYE, 0)
-                except (OSError, TransportError):
-                    pass
-                try:
-                    handle.sock.close()
-                except OSError:  # pragma: no cover
-                    pass
+        handles = [handle for pool in self._pools.values()
+                   for handle in pool if handle is not None]
+        for pool in self._pools.values():
+            pool[:] = [None] * len(pool)
+        # drain every worker first, then wait for them all at once
+        for handle in handles:
+            try:
+                frames.send_frame(handle.sock, frames.BYE, 0)
+            except (OSError, TransportError):
+                pass
+            try:
+                handle.sock.close()
+            except OSError:  # pragma: no cover
+                pass
+        for handle in handles:
+            handle.process.join(timeout=2.0)
+            if handle.alive():  # pragma: no cover - wedged worker
+                handle.kill()
                 handle.process.join(timeout=2.0)
-                if handle.alive():  # pragma: no cover - wedged worker
-                    handle.kill()
-                    handle.process.join(timeout=2.0)
-                pool[index] = None
 
     # --- request plumbing ----------------------------------------------------
+
+    def add_pool(self, role: str, workers: int) -> None:
+        """Add a pool of ``workers`` lazily spawned workers under ``role``."""
+        if workers < 1 or role in self._pools:
+            raise TransportError(f"cannot add a {workers}-worker {role!r} pool")
+        self._pools[role] = [None] * workers
+        self._slot_locks[role] = [threading.RLock() for __ in range(workers)]
+
+    def call(self, role: str, index: int, request: Tuple,
+             point: Optional[str] = None, log_key: Optional[str] = None):
+        """One request to worker ``index`` of ``role``'s pool.
+
+        ``point`` names the fault point whose trip SIGKILLs the worker
+        mid-request.  A request sent with a ``log_key`` is appended to
+        the worker's publication log once it succeeds, so every later
+        incarnation of the worker receives it again before anything else.
+        """
+        result = self._round_trip(role, index, request, point)
+        if log_key is not None:
+            with self._log_lock:
+                self._log.setdefault((role, index), {}).setdefault(
+                    log_key, []).append(request)
+        return result
+
+    def incarnation(self, role: str, index: int) -> int:
+        """Respawns so far of worker ``index`` of ``role`` (-1: unspawned)."""
+        handle = self._pools[role][index]
+        return -1 if handle is None else handle.incarnation
 
     def site_call(self, address: str, method: str, args: Tuple = (),
                   kwargs: Optional[dict] = None, mutate: bool = False):
         """One RPC to the worker hosting ``address``; log mutations."""
-        kwargs = kwargs or {}
-        request = ("site", address, method, args, kwargs)
-        result = self._round_trip(
-            "fed", self._owner(address), request, "fed.worker"
-        )
-        if mutate:
-            with self._log_lock:
-                self._log.setdefault(address, []).append(request)
-        return result
+        request = ("site", address, method, args, kwargs or {})
+        return self.call("fed", self._owner(address), request, "fed.worker",
+                         address if mutate else None)
 
     def registry_call(self, address: str, method: str, log: bool = True) -> None:
         """A registry-level RPC (site creation/removal) for one address."""
-        request = ("reg", method, (address,))
-        self._round_trip("fed", self._owner(address), request, "fed.worker")
-        if log:
-            with self._log_lock:
-                self._log.setdefault(address, []).append(request)
+        self.call("fed", self._owner(address), ("reg", method, (address,)),
+                  "fed.worker", address if log else None)
 
     def forget_address(self, address: str) -> None:
         with self._log_lock:
-            self._log.pop(address, None)
+            self._log.get(("fed", self._owner(address)), {}).pop(address, None)
 
     def clear_sites(self) -> None:
-        """Wipe hosted state on every live site worker and drop the log."""
+        """Wipe hosted state on every live site worker and drop its log."""
         with self._log_lock:
-            self._log.clear()
+            for index in range(len(self._pools["fed"])):
+                self._log.pop(("fed", index), None)
         for index, handle in enumerate(self._pools["fed"]):
             if handle is None:
                 continue
@@ -392,44 +473,93 @@ class ProcTransport(Transport):
         with self._stats_lock:
             self._stats[key] += amount
 
+    def _bump_shared(self, key: str) -> None:
+        """Count a lifecycle event here and in the bound resilience stats."""
+        self._bump(key)
+        if self._resilience is not None:
+            self._resilience.stats.incr(key)
+
     # --- worker lifecycle ----------------------------------------------------
 
+    def _dial(self, host: str, port: int) -> Tuple[socket.socket, int]:
+        """Connect to a worker's service address and read its greeting.
+
+        Returns ``(socket, pid)``.  The greeting is what detects half-open
+        connections: a listener that accepts but whose process is wedged
+        (or a recycled port owned by a stranger) fails the READY exchange
+        within ``connect_timeout_s`` instead of wedging the coordinator.
+        """
+        sock = socket.create_connection(
+            (host, port), timeout=self.connect_timeout_s
+        )
+        try:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            sock.settimeout(self.connect_timeout_s)
+            greeting = frames.recv_frame(sock)
+            if greeting.kind != frames.READY:
+                raise FrameProtocolError(
+                    f"worker at {host}:{port}: expected READY greeting, "
+                    f"got kind {greeting.kind}"
+                )
+            hello = serde.loads(greeting.payload)
+        except BaseException:
+            sock.close()
+            raise
+        sock.settimeout(self.heartbeat_s)
+        return sock, hello["pid"]
+
     def _spawn(self, role: str, index: int, incarnation: int) -> _Handle:
+        """Start a worker, take its address registration, and dial it."""
         if self._closed:
             raise TransportError("transport is closed")
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        boot = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        process = None
         try:
-            listener.bind(("127.0.0.1", 0))
-            listener.listen(1)
-            listener.settimeout(READY_TIMEOUT_S)
-            port = listener.getsockname()[1]
+            boot.bind((self.host, 0))
+            boot.listen(1)
+            boot.settimeout(READY_TIMEOUT_S)
             process = self._mp.Process(
                 target=worker_main,
-                args=("127.0.0.1", port, role, index, self.heartbeat_s),
+                args=(self.host, boot.getsockname()[1], self.host, role,
+                      index, self.heartbeat_s),
                 name=f"net-{role}-{index}.{incarnation}",
                 daemon=True,
             )
             process.start()
             try:
-                sock, __ = listener.accept()
+                conn, __ = boot.accept()
             except socket.timeout:
-                process.kill()
                 raise TransportError(
-                    f"{role} worker {index} did not connect within "
+                    f"{role} worker {index} did not register within "
                     f"{READY_TIMEOUT_S:.0f}s"
                 ) from None
+            with conn:
+                conn.settimeout(READY_TIMEOUT_S)
+                ready = frames.recv_frame(conn)
+            if ready.kind != frames.READY:
+                raise FrameProtocolError(
+                    f"{role} worker {index}: expected READY registration, "
+                    f"got kind {ready.kind}"
+                )
+            hello = serde.loads(ready.payload)
+            host, port = hello["host"], hello["port"]
+            sock, pid = self._dial(host, port)
+            if pid != hello["pid"]:
+                sock.close()
+                raise TransportError(
+                    f"{role} worker {index} at {host}:{port} answered with "
+                    f"pid {pid}, expected {hello['pid']}"
+                )
+        except BaseException:
+            if process is not None and process.pid is not None:
+                process.kill()
+                process.join(timeout=2.0)
+            raise
         finally:
-            listener.close()
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        sock.settimeout(READY_TIMEOUT_S)
-        ready = frames.recv_frame(sock)
-        if ready.kind != frames.READY:
-            raise FrameProtocolError(
-                f"{role} worker {index}: expected READY, got kind {ready.kind}"
-            )
-        hello = serde.loads(ready.payload)
-        sock.settimeout(self.heartbeat_s)
-        return _Handle(role, index, incarnation, process, sock, hello["pid"])
+            boot.close()
+        with self._addresses_lock:
+            self._addresses[(role, index)] = (host, port)
+        return _Handle(role, index, incarnation, process, sock, pid, host, port)
 
     def _ensure(self, role: str, index: int) -> _Handle:
         # caller holds the slot lock
@@ -440,41 +570,77 @@ class ProcTransport(Transport):
         return handle
 
     def _respawn(self, role: str, index: int) -> _Handle:
-        """Fresh incarnation + publication replay (site workers only)."""
+        """Fresh incarnation + publication replay."""
         dead = self._pools[role][index]
         try:
             dead.sock.close()
         except OSError:  # pragma: no cover
             pass
+        # "dead" may still run (wedged, or its listener unreachable): make
+        # sure it is gone and reaped before a fresh incarnation replaces it
+        dead.kill()
+        dead.process.join(timeout=2.0)
         handle = self._spawn(role, index, incarnation=dead.incarnation + 1)
         self._pools[role][index] = handle
-        self._bump("worker_respawns")
-        if self._resilience is not None:
-            self._resilience.stats.incr("worker_respawns")
-        if role == "fed":
-            self._replay(handle, index)
+        self._bump_shared("worker_respawns")
+        self._replay(handle, role, index)
         return handle
 
-    def _replay(self, handle: _Handle, index: int) -> None:
-        """Republish every logged mutation owned by this worker, in order.
+    def _replay(self, handle: _Handle, role: str, index: int) -> None:
+        """Resend every logged request of this worker, in order.
 
         Raises :class:`TransportClosedError` if the fresh worker dies mid
-        replay — the caller's death loop counts it and respawns again
-        (replay restarts from scratch; puts overwrite, so it converges).
+        replay; the caller's request fails with it (puts overwrite, so a
+        later respawn's full replay still converges).
         """
         with self._log_lock:
-            batches = [
-                (address, list(entries))
-                for address, entries in sorted(self._log.items())
-                if self._owner(address) == index
+            requests = [
+                request
+                for __, entries in sorted(self._log.get((role, index), {}).items())
+                for request in entries
             ]
-        replayed = 0
-        for __, entries in batches:
-            for request in entries:
-                self._attempt(handle, self._next_id(), serde.dumps(request))
-                replayed += 1
-        if replayed:
-            self._bump("replayed_publications", replayed)
+        for request in requests:
+            self._attempt(handle, self._next_id(), serde.dumps(request))
+        if requests:
+            self._bump("replayed_publications", len(requests))
+
+    def _reconnect(self, handle: _Handle) -> bool:
+        """Repair a severed link to a live worker.
+
+        Redials the worker's registered address under the reconnect
+        policy's capped-expo backoff + deterministic jitter.  Returns
+        ``False`` when the peer is dead (process gone, budget exhausted,
+        or a different pid greeted us) — the caller then escalates to
+        respawn + replay.
+        """
+        try:
+            handle.sock.close()
+        except OSError:  # pragma: no cover
+            pass
+        attempt = 0
+        while True:
+            if not handle.alive():
+                return False
+            try:
+                sock, pid = self._dial(handle.host, handle.port)
+            except (OSError, TransportError):
+                if attempt >= self.reconnect_policy.max_retries:
+                    return False
+                delay = self.reconnect_policy.delay_s(
+                    attempt, self._reconnect_rng
+                )
+                if delay > 0:
+                    time.sleep(delay)
+                attempt += 1
+                continue
+            if pid != handle.pid:
+                # a stranger on a recycled port, or a raced incarnation:
+                # either way this is not the peer we were talking to
+                sock.close()
+                return False
+            handle.sock = sock
+            self._bump("reconnects")
+            return True
 
     # --- the round trip ------------------------------------------------------
 
@@ -491,25 +657,43 @@ class ProcTransport(Transport):
                     return self._attempt(handle, request_id, body, point)
                 except (TransportClosedError, FrameProtocolError) as exc:
                     deaths += 1
-                    self._bump("worker_deaths")
-                    if self._resilience is not None:
-                        self._resilience.stats.incr("worker_deaths")
+                    self._bump_shared("worker_deaths")
                     if deaths > self.respawn_limit:
                         raise WorkerRespawnError(role, index, deaths) from exc
                     self._respawn(role, index)
-                    self._bump("resent_requests")
-                    if self._resilience is not None:
-                        self._resilience.stats.incr("resent_requests")
+                    self._bump_shared("resent_requests")
                     # loop: resend with the SAME request id (idempotent)
 
     def _attempt(self, handle: _Handle, request_id: int, body: bytes,
                  point: Optional[str] = None):
-        """One send + await on one incarnation; raises on worker death."""
+        """One request on one incarnation, wrapped in link repair.
+
+        Every EOF/torn-frame failure first tries :meth:`_reconnect` and
+        resends the same id; only a provably dead peer propagates the
+        error to the death loop of :meth:`_round_trip`.
+        """
+        repairs = 0
+        while True:
+            try:
+                return self._exchange(handle, request_id, body, point)
+            except (TransportClosedError, FrameProtocolError):
+                repairs += 1
+                if repairs > self.MAX_LINK_REPAIRS \
+                        or not self._reconnect(handle):
+                    raise  # peer dead: the death loop respawns + replays
+                # link repaired: resend the SAME id; a request that
+                # executed during the partition is answered from the
+                # dedup cache (STATUS_REPLAY), never re-executed
+                point = None  # a kill fault gets one shot per attempt
+
+    def _exchange(self, handle: _Handle, request_id: int, body: bytes,
+                  point: Optional[str] = None):
+        """One send + await on one connection; raises when it breaks."""
         self._send(handle, frames.REQ, request_id, body)
         if point is not None and self._resilience is not None \
                 and self._resilience.trip(point):
             # seeded chaos: SIGKILL the worker mid-request; the death loop
-            # above must make this invisible to the caller
+            # must make this invisible to the caller
             handle.kill()
         grace_s = self.heartbeat_s * self.miss_grace
         deadline = time.monotonic() + self.request_timeout_s
@@ -549,7 +733,7 @@ class ProcTransport(Transport):
                 self._bump("heartbeats_seen")
                 continue
             if frame.kind not in (frames.RES, frames.ERR):
-                continue  # e.g. a READY greeting after a tcp reconnect
+                continue  # e.g. a READY greeting after a reconnect
             status, data = frame.payload[:1], frame.payload[1:]
             if status == STATUS_REPLAY:
                 # counted even for stale ids: a duplicated request answers

@@ -1,20 +1,25 @@
 """Entry point of one transport worker process.
 
 A worker is a spawn-context OS process that serves REQ frames until it
-reads BYE (or is killed).  One worker serves either role — federated site
-host or RDD task executor — because the request payload carries its own
-dispatch tag.  Two bootstraps exist:
+reads BYE (or is killed, or its coordinator dies).  One worker serves any
+role — federated site host, RDD task executor, scoring shard — because
+the request payload carries its own dispatch tag:
 
-* :func:`worker_main` (proc transport) — the worker dials the
-  coordinator's listener and serves that single connection for life.
-* :func:`tcp_worker_main` (tcp transport) — the worker *listens* on its
-  own host:port, registers the address with the coordinator through a
-  one-shot bootstrap connection, then serves connections one at a time
-  from an accept loop.  Worker state (hosted tensors, dedup cache)
-  survives across connections, which is exactly what makes a network
-  partition recoverable: the coordinator reconnects and resends, and the
-  worker either still has the response recorded (replay) or executes it
-  for the first time — never twice.
+* ``("site", address, method, args, kwargs)`` / ``("reg", method, args)``
+  — a federated site, or the worker's site registry;
+* ``("task", fn)`` — a stateless RDD partition task, ``fn()``;
+* ``("call", fn, *args)`` — ``fn(state, *args)`` for a module-level
+  function of another layer, against the worker's ``state`` dict (a
+  scoring shard keeps its models there).  Values left in ``state`` are
+  closed when the worker exits.
+
+:func:`worker_main` *listens* on its own host:port, registers the address
+with the coordinator through a one-shot bootstrap connection, then serves
+coordinator sessions one at a time from an accept loop.  Worker state
+(hosted tensors, ``state``, the dedup cache) survives across sessions,
+which is what makes a network partition recoverable: the coordinator
+reconnects and resends, and the worker either still has the response
+recorded (replay) or executes it for the first time — never twice.
 
 Idempotency (the dedup cache)
 -----------------------------
@@ -31,7 +36,10 @@ Liveness
 A daemon thread emits a HEARTBEAT frame every ``heartbeat_s`` on the
 session socket (sends are serialised by a lock).  The coordinator counts
 frames while awaiting a response; a silent interval with a dead process
-is a worker death, triggering respawn + publication replay.
+is a worker death, triggering respawn + publication replay.  In the other
+direction, the accept loop wakes every ``heartbeat_s`` and exits once the
+worker has been re-parented: a coordinator that died without sending BYE
+(SIGKILL, SIGTERM) can never dial again, so its workers do not outlive it.
 
 Errors
 ------
@@ -40,8 +48,8 @@ stringified :class:`~repro.errors.TransportError` for unpicklable ones —
 though every :mod:`repro.errors` type round-trips by contract) and
 re-raised coordinator-side with their types and attributes intact.  A
 corrupt frame on the wire severs the *session* (the framing is no longer
-trustworthy) but never kills the worker: the tcp accept loop just waits
-for the coordinator to reconnect.
+trustworthy) but never kills the worker: the accept loop just waits for
+the coordinator to reconnect.
 """
 
 from __future__ import annotations
@@ -74,7 +82,7 @@ def _portable(exc: BaseException) -> bytes:
         return pickle.dumps(TransportError(f"{type(exc).__name__}: {exc}"))
 
 
-def _dispatch(registry, request):
+def _dispatch(registry, state, request):
     """Execute one decoded request against worker-local state."""
     from repro.errors import TransportError
 
@@ -93,6 +101,8 @@ def _dispatch(registry, request):
         return True
     if kind == "task":
         return request[1]()
+    if kind == "call":
+        return request[1](state, *request[2:])
     raise TransportError(f"unknown request kind {kind!r}")
 
 
@@ -106,7 +116,7 @@ def _heartbeat_loop(sock: socket.socket, send_lock: threading.Lock,
             return
 
 
-def _serve_connection(sock: socket.socket, registry, dedup,
+def _serve_connection(sock: socket.socket, registry, state, dedup,
                       heartbeat_s: float, hello: dict) -> str:
     """Serve one connection until it ends; state outlives the session.
 
@@ -157,7 +167,7 @@ def _serve_connection(sock: socket.socket, registry, dedup,
                     return "closed"
                 continue
             try:
-                result = _dispatch(registry, serde.loads(frame.payload))
+                result = _dispatch(registry, state, serde.loads(frame.payload))
                 kind, body = frames.RES, serde.dumps(result)
             except BaseException as exc:  # noqa: BLE001 - typed error propagation
                 kind, body = frames.ERR, _portable(exc)
@@ -177,49 +187,30 @@ def _serve_connection(sock: socket.socket, registry, dedup,
         stop.set()
 
 
-def worker_main(host: str, port: int, role: str, index: int,
-                heartbeat_s: float) -> None:
-    """Proc transport: connect back to the coordinator and serve until BYE."""
-    import os
-
-    from repro.federated.site import FederatedWorkerRegistry
-
-    sock = socket.create_connection((host, port))
-    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-    # worker-local state: a private registry (never the singleton — the
-    # coordinator's publication log is the source of truth) and the dedup cache
-    registry = FederatedWorkerRegistry()
-    dedup: "collections.OrderedDict[int, tuple]" = collections.OrderedDict()
-    hello = {"pid": os.getpid(), "role": role, "index": index}
-    try:
-        _serve_connection(sock, registry, dedup, heartbeat_s, hello)
-    finally:
-        try:
-            sock.close()
-        except OSError:  # pragma: no cover
-            pass
-
-
-def tcp_worker_main(boot_host: str, boot_port: int, bind_host: str,
-                    role: str, index: int, heartbeat_s: float) -> None:
-    """TCP transport: listen on a real address and serve sessions until BYE.
+def worker_main(boot_host: str, boot_port: int, bind_host: str,
+                role: str, index: int, heartbeat_s: float) -> None:
+    """Listen on a real address and serve coordinator sessions until BYE.
 
     Binds an ephemeral port on ``bind_host``, registers
     ``{pid, host, port}`` with the coordinator through a one-shot
     bootstrap connection, then accepts coordinator sessions one at a
     time.  A severed or corrupted session returns to the accept loop
     with all hosted state intact — reconnect-and-resend is the
-    coordinator's job; only BYE (graceful drain) ends the process.
+    coordinator's job.  BYE (graceful drain) ends the process, and so
+    does losing the coordinator: the accept wait is bounded by
+    ``heartbeat_s`` and the loop exits once the parent pid changes.
     """
     import os
 
     from repro.federated.site import FederatedWorkerRegistry
     from repro.net import serde
 
+    coordinator = os.getppid()
     listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
     listener.bind((bind_host, 0))
     listener.listen(8)
+    listener.settimeout(heartbeat_s)
     host, port = listener.getsockname()[:2]
     boot = socket.create_connection((boot_host, boot_port))
     try:
@@ -232,19 +223,28 @@ def tcp_worker_main(boot_host: str, boot_port: int, bind_host: str,
             boot.close()
         except OSError:  # pragma: no cover
             pass
+    # worker-local state: a private registry (never the singleton — the
+    # coordinator's publication log is the source of truth), the state of
+    # "call" requests, and the dedup cache
     registry = FederatedWorkerRegistry()
+    state: dict = {}
     dedup: "collections.OrderedDict[int, tuple]" = collections.OrderedDict()
     hello = {"pid": os.getpid(), "role": role, "index": index}
     try:
         while True:
             try:
                 sock, __ = listener.accept()
+            except socket.timeout:
+                if os.getppid() != coordinator:
+                    break  # re-parented: nobody is left to dial us
+                continue
             except OSError:  # pragma: no cover - listener torn down
                 break
+            sock.settimeout(None)
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             try:
                 reason = _serve_connection(
-                    sock, registry, dedup, heartbeat_s, hello
+                    sock, registry, state, dedup, heartbeat_s, hello
                 )
             finally:
                 try:
@@ -258,3 +258,5 @@ def tcp_worker_main(boot_host: str, boot_port: int, bind_host: str,
             listener.close()
         except OSError:  # pragma: no cover
             pass
+        for resource in state.values():
+            resource.close()

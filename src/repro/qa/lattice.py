@@ -25,12 +25,10 @@ chaos_spill        buffer-pool spill faults + retries; must be bit-identical
 chaos_federated    federated request faults + failover; bit-identical
 chaos_crash        crash mid-program + checkpoint resume; bit-identical
 chaos_spark        distributed task faults + task retry; bit-identical
-proc_federated     federated sites in real worker processes (proc
-                   transport); bit-identical to the in-process twin
-proc_spark         RDD tasks in real worker processes (proc transport);
-                   bit-identical to the in-process spark twin
 tcp                federated sites behind workers on real TCP addresses
                    (tcp transport); bit-identical to the in-process twin
+tcp_spark          RDD tasks in real worker processes (tcp transport);
+                   bit-identical to the in-process spark twin
 chaos_tcp          tcp transport under seeded wire faults — partitions,
                    duplicated and bit-flipped frames — recovered by
                    reconnect + same-id resend + dedup; bit-identical
@@ -289,17 +287,6 @@ class Lattice:
                 reference="spark",
             ),
             LatticeConfig(
-                name="proc_federated",
-                description="federated sites hosted by real spawn-context "
-                            "worker processes over the frame protocol; "
-                            "bit-identical to the in-process federated twin "
-                            "(the transport must be semantically invisible)",
-                federated=True,
-                overrides={"transport": "proc"},
-                bitwise=True,
-                reference="federated",
-            ),
-            LatticeConfig(
                 name="tcp",
                 description="federated sites hosted by workers listening on "
                             "real TCP loopback addresses (dialable host:port "
@@ -367,11 +354,11 @@ class Lattice:
                 atol=1e-8,
             ),
             LatticeConfig(
-                name="proc_spark",
+                name="tcp_spark",
                 description="distributed RDD tasks executed in real worker "
                             "processes over the frame protocol; bit-identical "
                             "to the in-process spark twin",
-                overrides={**_SPARK_OVERRIDES, "transport": "proc"},
+                overrides={**_SPARK_OVERRIDES, "transport": "tcp"},
                 bitwise=True,
                 reference="spark",
             ),

@@ -44,8 +44,8 @@ KNOWN_POINTS = (
     "spill.write",    # buffer-pool eviction write to a spill file
     "serve.score",    # one scoring batch execution in the serving layer
     "serve.worker",   # a sharded-serving worker process (trip = SIGKILL mid-batch)
-    "fed.worker",     # a proc-transport federated site worker (trip = SIGKILL mid-request)
-    "rdd.worker",     # a proc-transport RDD task executor (trip = SIGKILL mid-task)
+    "fed.worker",     # a transport federated site worker (trip = SIGKILL mid-request)
+    "rdd.worker",     # a transport RDD task executor (trip = SIGKILL mid-task)
     "checkpoint.boundary",  # a loop/top-level block boundary of the interpreter
     # wire-level points, consulted by the chaos tcp transport per frame
     "net.drop",       # a frame vanishes (unsent REQ or discarded RES/ERR)

@@ -269,8 +269,13 @@ class ScoringService:
                 f">= {self._shed_watermark})"
             )
 
-    def _score_batch(self, servable: ServableModel, stacked: np.ndarray):
-        """Run one coalesced batch, with retry + breaker when resilience is on."""
+    def _score_batch(self, servable: ServableModel, stacked: np.ndarray,
+                     shard: Optional[int], n_requests: int):
+        """Run one coalesced batch, with retry + breaker when resilience is on.
+
+        ``shard``/``n_requests`` matter only to executors that run the
+        batch elsewhere (the sharded service's worker processes).
+        """
         resilience = self.resilience
         if resilience is None:
             return servable.score_batch(stacked)
@@ -296,14 +301,14 @@ class ScoringService:
 
     # --- workers ------------------------------------------------------------
 
-    def _worker_loop(self) -> None:
+    def _worker_loop(self, shard: Optional[int] = None) -> None:
         while not self._stop.is_set():
-            taken = self._batcher.take(timeout=0.05)
+            taken = self._batcher.take(timeout=0.05, shard=shard)
             if taken is None:
                 continue
             model_key, requests = taken
             try:
-                self._execute_batch(requests)
+                self._execute_batch(requests, shard)
             finally:
                 self._batcher.done(model_key)
 
@@ -321,7 +326,8 @@ class ScoringService:
                 live.append(request)
         return live
 
-    def _execute_batch(self, requests: List[_Request]) -> None:
+    def _execute_batch(self, requests: List[_Request],
+                       shard: Optional[int] = None) -> None:
         requests = self._split_expired(requests)
         if not requests:
             return
@@ -331,7 +337,7 @@ class ScoringService:
             [request.features for request in requests]
         )
         try:
-            scores = self._score_batch(servable, stacked)
+            scores = self._score_batch(servable, stacked, shard, len(requests))
         except Exception as exc:  # noqa: BLE001 - fail the batch, not the worker
             self.metrics.record_error(servable.key, count=len(requests))
             for request in requests:

@@ -1,8 +1,9 @@
-"""ProcTransport end to end: real worker processes, kills, replay, dedup.
+"""The worker transport end to end: site ops, kills, replay, dedup.
 
 These tests spawn actual OS processes (spawn context), so they share one
 module-scoped transport with a fast heartbeat instead of paying a
-Python+numpy interpreter start per test.
+Python+numpy interpreter start per test.  Plain round trips (put/fetch,
+tasks in another process, typed worker errors) live in ``test_tcp.py``.
 """
 
 import os
@@ -41,12 +42,6 @@ def _host(registry, address, data, name="X"):
 
 
 class TestSiteOps:
-    def test_put_fetch_round_trip(self, registry):
-        data = np.arange(12.0).reshape(3, 4)
-        site = _host(registry, "proc-a:9001", data)
-        assert site.has("X")
-        np.testing.assert_array_equal(site.fetch("X").to_numpy(), data)
-
     def test_execute_and_store_fuses_compute_and_host(self, transport, registry):
         site = _host(registry, "proc-b:9001", np.ones((4, 3)))
         meta = site.execute_and_store("X", "Y", lambda b: ops.binary_scalar("*", b, 3.0))
@@ -69,7 +64,7 @@ class TestSiteOps:
         snap_after = transport.snapshot()
         assert snap_after["frames_sent"] > snap_before["frames_sent"]
         assert snap_after["bytes_sent"] > snap_before["bytes_sent"]
-        assert snap_after["mode"] == "proc"
+        assert snap_after["mode"] == "tcp"
 
 
 class TestTasks:
@@ -77,16 +72,6 @@ class TestTasks:
         weights = np.asarray([1.0, 2.0, 3.0])
         records = transport.run_task(lambda: list(weights * 2))
         np.testing.assert_array_equal(records, [2.0, 4.0, 6.0])
-
-    def test_worker_side_exception_is_typed(self, transport):
-        def explode():
-            raise ValueError("boom from the worker")
-
-        with pytest.raises(ValueError, match="boom from the worker"):
-            transport.run_task(explode)
-
-    def test_task_worker_is_another_process(self, transport):
-        assert transport.run_task(lambda: [os.getpid()])[0] != os.getpid()
 
 
 class TestKillRespawnReplay:

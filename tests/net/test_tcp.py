@@ -1,4 +1,5 @@
-"""TcpTransport end to end: dialable addresses, severed links, reconnects.
+"""The worker transport end to end: dialable addresses, severed links,
+reconnects, and workers that do not outlive their coordinator.
 
 These tests spawn actual OS processes (spawn context), so they share one
 module-scoped transport with a fast heartbeat and near-zero reconnect
@@ -6,21 +7,27 @@ backoff instead of paying a Python+numpy interpreter start per test.
 """
 
 import os
+import signal
 import socket
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
 
+import repro
+
 from repro.config import ReproConfig
+from repro.net.chaos import ChaosTransport
 from repro.net.proc import ProcTransport
-from repro.net.tcp import TcpTransport
 from repro.tensor import BasicTensorBlock
 from repro.tensor import ops
 
 
 @pytest.fixture(scope="module")
 def transport():
-    t = TcpTransport(site_workers=2, task_workers=1, heartbeat_s=0.1,
+    t = ProcTransport(site_workers=2, task_workers=1, heartbeat_s=0.1,
                      request_timeout_s=20.0, reconnect_backoff_ms=1.0,
                      reconnect_backoff_max_ms=5.0)
     yield t
@@ -38,6 +45,32 @@ def _host(registry, address, data, name="X"):
     site = registry.start_site(address)
     site.put(name, BasicTensorBlock.from_numpy(np.asarray(data, dtype=float)))
     return site
+
+
+#: Heartbeat interval of the coordinator below (s).
+ORPHAN_HEARTBEAT_S = 0.25
+
+#: A coordinator that hosts one site on a worker, reports the worker's
+#: pid, and then idles until it is killed.
+COORDINATOR = f"""
+import time
+from repro.net.proc import ProcTransport
+
+transport = ProcTransport(site_workers=1, task_workers=1,
+                          heartbeat_s={ORPHAN_HEARTBEAT_S})
+transport.registry().start_site("orphan:9001")
+print(transport._pools["fed"][0].pid, flush=True)
+time.sleep(600)
+"""
+
+
+def _exited(pid):
+    """Whether ``pid`` is gone (or a zombie nobody has reaped yet)."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
 
 
 def _sever(handle):
@@ -148,7 +181,7 @@ class TestLinkDownVsPeerDead:
 
 class TestLifecycle:
     def test_bye_drains_workers_gracefully(self):
-        t = TcpTransport(site_workers=1, task_workers=1, heartbeat_s=0.1,
+        t = ProcTransport(site_workers=1, task_workers=1, heartbeat_s=0.1,
                          request_timeout_s=20.0)
         reg = t.registry()
         _host(reg, "tcp-drain:9001", np.ones((2, 2)))
@@ -160,18 +193,43 @@ class TestLifecycle:
             proc.join(timeout=5.0)
             assert not proc.is_alive()
 
+    @pytest.mark.parametrize("sig", [signal.SIGKILL, signal.SIGTERM])
+    def test_workers_exit_when_their_coordinator_dies(self, sig):
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")]))
+        coordinator = subprocess.Popen(
+            [sys.executable, "-c", COORDINATOR], env=env,
+            stdout=subprocess.PIPE, text=True,
+        )
+        try:
+            worker = int(coordinator.stdout.readline())
+            assert not _exited(worker)
+        finally:
+            coordinator.send_signal(sig)
+            coordinator.wait(timeout=30.0)
+            coordinator.stdout.close()
+        # no BYE ever comes: the worker notices it was re-parented after at
+        # most one bounded accept wait and exits on its own
+        deadline = time.monotonic() + 10 * ORPHAN_HEARTBEAT_S
+        while not _exited(worker):
+            assert time.monotonic() < deadline, \
+                f"worker {worker} outlived its coordinator"
+            time.sleep(0.02)
+
     def test_default_singleton_is_config_keyed(self):
         # a plain default() and a default-config default() must agree...
-        a = TcpTransport.default()
-        b = TcpTransport.default(ReproConfig(transport="tcp"))
+        a = ProcTransport.default()
+        b = ProcTransport.default(ReproConfig(transport="tcp"))
         assert a is b
-        # ...and the tcp and proc singletons never alias each other
-        assert TcpTransport.default() is not ProcTransport.default()
+        # ...and the plain and chaos singletons never alias each other
+        assert ChaosTransport.default() is not ProcTransport.default()
         # changed transport knobs rebuild the singleton
-        c = TcpTransport.default(
+        c = ProcTransport.default(
             ReproConfig(transport="tcp", heartbeat_interval_s=0.11)
         )
         assert c is not b
         assert c.heartbeat_s == 0.11
         c.close()
-        ProcTransport.default().close()
+        ChaosTransport.default().close()

@@ -72,8 +72,13 @@ class TestReproConfig:
             ReproConfig(**kwargs)
 
     def test_transport_modes_accepted(self):
-        for mode in ("inproc", "proc", "tcp"):
+        for mode in ("inproc", "tcp"):
             assert ReproConfig(transport=mode).transport == mode
+
+    def test_proc_transport_removed(self):
+        # one worker substrate: "proc" folded into "tcp"
+        with pytest.raises(ValueError, match="inproc or tcp"):
+            ReproConfig(transport="proc")
 
     def test_budgets_derived(self):
         cfg = ReproConfig(memory_budget=1000, operator_memory_fraction=0.5,
