@@ -2,7 +2,7 @@
 
 Runs the two workloads of the repro.net acceptance bar with federated
 sites and RDD executors as *real OS processes* listening on loopback
-addresses (``--transport tcp``, the only process transport), under a
+addresses (``transport="tcp"``, the one worker transport), under a
 seeded fault plan:
 
 * a row-federated L2SVM training loop — the faulted site worker recovers
@@ -137,18 +137,15 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("out", nargs="?", default=None,
                         help="write the JSON report here")
-    parser.add_argument("--transport", choices=["tcp"], default="tcp",
-                        help="the process transport to exercise")
     parser.add_argument("--faults", choices=sorted(_CHAOS_FAMILIES),
                         default="kill",
                         help="SIGKILL workers, or fault the wire")
     args = parser.parse_args(argv)
-    mode = args.transport
     chaos = _CHAOS_FAMILIES[args.faults]
 
     clean_w, __ = run_federated(ReproConfig())
     chaos_w, fed_ml = run_federated(ReproConfig(
-        transport=mode, enable_stats=True, **chaos["fed"], **FAST_RETRY,
+        transport="tcp", enable_stats=True, **chaos["fed"], **FAST_RETRY,
     ))
     fed_section = fed_ml.stats().snapshot()["transport"]
     fed_identical = bool(np.array_equal(chaos_w, clean_w))
@@ -162,7 +159,7 @@ def main(argv=None) -> int:
 
     clean_z, __ = run_matmul(ReproConfig(**SPARK))
     chaos_z, rdd_ml = run_matmul(ReproConfig(
-        transport=mode, enable_stats=True,
+        transport="tcp", enable_stats=True,
         **chaos["rdd"], **SPARK, **FAST_RETRY,
     ))
     rdd_section = rdd_ml.stats().snapshot()["transport"]
@@ -175,7 +172,6 @@ def main(argv=None) -> int:
           f"dedup_hits={rdd_section['dedup_hits']}")
 
     report = {
-        "transport": mode,
         "faults": args.faults,
         "federated": {"identical": fed_identical, **fed_section},
         "rdd": {"identical": rdd_identical, **rdd_section},

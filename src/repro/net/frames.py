@@ -46,8 +46,9 @@ ERR = 3        # worker -> coordinator: pickled exception payload
 HEARTBEAT = 4  # worker -> coordinator: liveness beacon (empty payload)
 READY = 5      # worker -> coordinator: bootstrap/session handshake
 BYE = 6        # coordinator -> worker: orderly shutdown request
+AUTH = 7       # both ways: session challenge-response (repro.net.worker)
 
-KINDS = (REQ, RES, ERR, HEARTBEAT, READY, BYE)
+KINDS = (REQ, RES, ERR, HEARTBEAT, READY, BYE, AUTH)
 
 _BASE_HEADER = struct.Struct("!2sBBQI")
 _CRC = struct.Struct("!I")

@@ -19,8 +19,11 @@ Worker lifecycle
   coordinator keeps the **address book** (``(role, index) -> (host,
   port)``, surfaced in the stats snapshot).
 * **Dial + READY** — the coordinator dials the worker with a connect
-  timeout and checks the pid in its READY greeting, so a half-open or
-  recycled port is never mistaken for the right peer.
+  timeout, answers the worker's HMAC challenge under the transport's
+  random key (:mod:`repro.net.worker`: nothing unauthenticated is ever
+  unpickled, on either side), and checks the pid in its signed READY
+  greeting, so a half-open or recycled port is never mistaken for the
+  right peer.
 * **Heartbeat** — workers heartbeat on their socket; while awaiting a
   response the coordinator counts silent grace windows
   (``heartbeats_missed``) and probes the process.
@@ -45,7 +48,9 @@ Worker lifecycle
   ``stop``/``start``, and any request a caller sends with a ``log_key``,
   in order) and replays it into a fresh incarnation — lineage-style
   recovery: the ops are deterministic, so the republished state is
-  bit-identical.  Task executors log nothing and respawn bare.
+  bit-identical.  Task executors log nothing and respawn bare.  A
+  replay that fails leaves the fresh incarnation killed in its slot, so
+  the next request respawns and replays again.
 * **Lost ACK** — a request that gets no response within the request
   timeout is resent once with the same id; the dedup cache replays the
   recorded response if the worker had executed it.
@@ -68,6 +73,7 @@ import itertools
 import os
 import pickle
 import random
+import secrets
 import signal
 import socket
 import threading
@@ -85,7 +91,15 @@ from repro.errors import (
 from repro.federated.site import FederatedWorkerRegistry
 from repro.net import frames, serde
 from repro.net.transport import STAT_KEYS, Transport
-from repro.net.worker import STATUS_REPLAY, worker_main
+from repro.net.worker import (
+    AUTH_TIMEOUT_S,
+    MAC_SIZE,
+    NONCE_SIZE,
+    STATUS_REPLAY,
+    sign,
+    verified,
+    worker_main,
+)
 from repro.resilience.retry import RetryPolicy
 
 #: How long one worker gets to spawn, import, and register its address.
@@ -275,6 +289,8 @@ class ProcTransport(Transport):
         import multiprocessing
 
         self._mp = multiprocessing.get_context("spawn")
+        #: Session key shared with the workers through the spawn pipe.
+        self._authkey = secrets.token_bytes(32)
         self.heartbeat_s = heartbeat_s
         self.request_timeout_s = request_timeout_s
         self.respawn_limit = respawn_limit
@@ -484,10 +500,12 @@ class ProcTransport(Transport):
     def _dial(self, host: str, port: int) -> Tuple[socket.socket, int]:
         """Connect to a worker's service address and read its greeting.
 
-        Returns ``(socket, pid)``.  The greeting is what detects half-open
-        connections: a listener that accepts but whose process is wedged
-        (or a recycled port owned by a stranger) fails the READY exchange
-        within ``connect_timeout_s`` instead of wedging the coordinator.
+        Returns ``(socket, pid)``.  The handshake is what detects
+        half-open connections and strangers: a listener that accepts but
+        whose process is wedged, or a recycled port owned by anyone
+        without the transport key, fails the AUTH/READY exchange within
+        ``connect_timeout_s`` instead of wedging the coordinator, and its
+        greeting is never unpickled.
         """
         sock = socket.create_connection(
             (host, port), timeout=self.connect_timeout_s
@@ -495,13 +513,27 @@ class ProcTransport(Transport):
         try:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             sock.settimeout(self.connect_timeout_s)
-            greeting = frames.recv_frame(sock)
-            if greeting.kind != frames.READY:
+            challenge = frames.recv_frame(sock)
+            if challenge.kind != frames.AUTH \
+                    or len(challenge.payload) != NONCE_SIZE:
                 raise FrameProtocolError(
-                    f"worker at {host}:{port}: expected READY greeting, "
-                    f"got kind {greeting.kind}"
+                    f"worker at {host}:{port}: expected an AUTH challenge, "
+                    f"got kind {challenge.kind}"
                 )
-            hello = serde.loads(greeting.payload)
+            nonce = secrets.token_bytes(NONCE_SIZE)
+            frames.send_frame(
+                sock, frames.AUTH, 0,
+                sign(self._authkey, b"coordinator", challenge.payload) + nonce,
+            )
+            greeting = frames.recv_frame(sock)
+            if greeting.kind != frames.READY or not verified(
+                    self._authkey, b"worker", nonce,
+                    greeting.payload[:MAC_SIZE]):
+                raise FrameProtocolError(
+                    f"worker at {host}:{port}: no READY greeting signed "
+                    f"with the transport key"
+                )
+            hello = serde.loads(greeting.payload[MAC_SIZE:])
         except BaseException:
             sock.close()
             raise
@@ -516,32 +548,16 @@ class ProcTransport(Transport):
         process = None
         try:
             boot.bind((self.host, 0))
-            boot.listen(1)
-            boot.settimeout(READY_TIMEOUT_S)
+            boot.listen(8)
             process = self._mp.Process(
                 target=worker_main,
                 args=(self.host, boot.getsockname()[1], self.host, role,
-                      index, self.heartbeat_s),
+                      index, self.heartbeat_s, self._authkey),
                 name=f"net-{role}-{index}.{incarnation}",
                 daemon=True,
             )
             process.start()
-            try:
-                conn, __ = boot.accept()
-            except socket.timeout:
-                raise TransportError(
-                    f"{role} worker {index} did not register within "
-                    f"{READY_TIMEOUT_S:.0f}s"
-                ) from None
-            with conn:
-                conn.settimeout(READY_TIMEOUT_S)
-                ready = frames.recv_frame(conn)
-            if ready.kind != frames.READY:
-                raise FrameProtocolError(
-                    f"{role} worker {index}: expected READY registration, "
-                    f"got kind {ready.kind}"
-                )
-            hello = serde.loads(ready.payload)
+            hello = self._registration(boot, role, index)
             host, port = hello["host"], hello["port"]
             sock, pid = self._dial(host, port)
             if pid != hello["pid"]:
@@ -561,16 +577,60 @@ class ProcTransport(Transport):
             self._addresses[(role, index)] = (host, port)
         return _Handle(role, index, incarnation, process, sock, pid, host, port)
 
+    def _registration(self, boot: socket.socket, role: str,
+                      index: int) -> dict:
+        """The worker's signed address registration on ``boot``.
+
+        Connections that do not carry a registration signed with the
+        transport key are dropped unread, and the wait goes on until the
+        real one arrives or :data:`READY_TIMEOUT_S` runs out.
+        """
+        deadline = time.monotonic() + READY_TIMEOUT_S
+        while True:
+            boot.settimeout(max(deadline - time.monotonic(), 0.001))
+            try:
+                conn, __ = boot.accept()
+            except socket.timeout:
+                raise TransportError(
+                    f"{role} worker {index} did not register within "
+                    f"{READY_TIMEOUT_S:.0f}s"
+                ) from None
+            with conn:
+                # the real worker registers as soon as it connects: a
+                # silent stranger gets a short read, not the whole budget
+                conn.settimeout(min(max(deadline - time.monotonic(), 0.001),
+                                    AUTH_TIMEOUT_S))
+                try:
+                    ready = frames.recv_frame(conn)
+                except (TransportError, OSError):
+                    continue
+            payload = ready.payload
+            if ready.kind == frames.READY and verified(
+                    self._authkey, b"register", payload[MAC_SIZE:],
+                    payload[:MAC_SIZE]):
+                return serde.loads(payload[MAC_SIZE:])
+
     def _ensure(self, role: str, index: int) -> _Handle:
         # caller holds the slot lock
         handle = self._pools[role][index]
         if handle is None:
             handle = self._spawn(role, index, incarnation=0)
             self._pools[role][index] = handle
+        elif handle.sock.fileno() < 0:
+            # a respawn whose spawn failed left the dead link behind
+            handle = self._respawn(role, index)
         return handle
 
     def _respawn(self, role: str, index: int) -> _Handle:
-        """Fresh incarnation + publication replay."""
+        """Fresh incarnation + publication replay.
+
+        If the replay fails, the fresh incarnation is killed but stays in
+        the slot, so the next request finds a dead peer and respawns and
+        replays again instead of running on half-published state.  A
+        death mid replay raises :class:`TransportClosedError` (the death
+        loop counts it); any other failure surfaces as
+        :class:`TransportError`.
+        """
         dead = self._pools[role][index]
         try:
             dead.sock.close()
@@ -583,16 +643,22 @@ class ProcTransport(Transport):
         handle = self._spawn(role, index, incarnation=dead.incarnation + 1)
         self._pools[role][index] = handle
         self._bump_shared("worker_respawns")
-        self._replay(handle, role, index)
+        try:
+            self._replay(handle, role, index)
+        except Exception as exc:
+            handle.kill()
+            handle.process.join(timeout=2.0)
+            if isinstance(exc, TransportError):
+                raise
+            raise TransportError(
+                f"replay into {role} worker {index} failed: "
+                f"{type(exc).__name__}: {exc}"
+            ) from exc
         return handle
 
     def _replay(self, handle: _Handle, role: str, index: int) -> None:
-        """Resend every logged request of this worker, in order.
-
-        Raises :class:`TransportClosedError` if the fresh worker dies mid
-        replay; the caller's request fails with it (puts overwrite, so a
-        later respawn's full replay still converges).
-        """
+        """Resend every logged request of this worker, in order (puts
+        overwrite, so a later respawn's full replay still converges)."""
         with self._log_lock:
             requests = [
                 request
@@ -652,17 +718,21 @@ class ProcTransport(Transport):
         deaths = 0
         with self._slot_locks[role][index]:
             while True:
-                handle = self._ensure(role, index)
                 try:
+                    if deaths:
+                        # a death mid replay (here or in _ensure) lands in
+                        # the handler below and respawns again
+                        handle = self._respawn(role, index)
+                        self._bump_shared("resent_requests")
+                    else:
+                        handle = self._ensure(role, index)
+                    # a resend reuses the SAME request id (idempotent)
                     return self._attempt(handle, request_id, body, point)
                 except (TransportClosedError, FrameProtocolError) as exc:
                     deaths += 1
                     self._bump_shared("worker_deaths")
                     if deaths > self.respawn_limit:
                         raise WorkerRespawnError(role, index, deaths) from exc
-                    self._respawn(role, index)
-                    self._bump_shared("resent_requests")
-                    # loop: resend with the SAME request id (idempotent)
 
     def _attempt(self, handle: _Handle, request_id: int, body: bytes,
                  point: Optional[str] = None):

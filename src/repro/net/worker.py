@@ -31,6 +31,26 @@ the recorded response instead of re-executing.  A side-effecting op
 double-execute, and the replayed response is flagged so the coordinator
 can count ``dedup_hits``.
 
+Authentication
+--------------
+Every worker listens on a real address, so a session must prove it comes
+from the coordinator before the worker unpickles a single byte of it.
+Each transport draws a random key at construction and hands it to its
+workers over the spawn pipe (never the network).  The registration on
+the bootstrap connection carries an HMAC of its payload under that key,
+and every session opens with a mutual challenge-response (:func:`sign`):
+
+1. worker -> coordinator: AUTH frame, a fresh nonce;
+2. coordinator -> worker: AUTH frame, the MAC of that nonce plus a
+   nonce of its own;
+3. worker -> coordinator: READY frame, the MAC of the coordinator's
+   nonce followed by the greeting.
+
+A connection that answers the challenge wrongly, with another frame
+kind, or not within :data:`AUTH_TIMEOUT_S` is dropped before anything is
+decoded, and the worker returns to its accept loop — a stray connection
+can neither run code nor hold the worker for long.
+
 Liveness
 --------
 A daemon thread emits a HEARTBEAT frame every ``heartbeat_s`` on the
@@ -55,9 +75,13 @@ the coordinator to reconnect.
 from __future__ import annotations
 
 import collections
+import hashlib
+import hmac
+import os
 import pickle
 import socket
 import threading
+from typing import Optional
 
 from repro.net import frames
 
@@ -68,6 +92,48 @@ DEDUP_CAPACITY = 512
 STATUS_OK = b"\x00"
 STATUS_REPLAY = b"\x01"
 STATUS_ERR = b"\x02"
+
+#: Random bytes per handshake nonce, and bytes per MAC (HMAC-SHA256).
+NONCE_SIZE = 32
+MAC_SIZE = 32
+
+#: How long a fresh connection gets to answer the worker's challenge.
+AUTH_TIMEOUT_S = 2.0
+
+
+def sign(authkey: bytes, label: bytes, data: bytes) -> bytes:
+    """HMAC-SHA256 of ``data`` under the transport key, bound to ``label``
+    (``b"register"``, ``b"coordinator"`` or ``b"worker"``), so no message
+    of one handshake step can stand in for another."""
+    return hmac.new(authkey, label + b"\x00" + data, hashlib.sha256).digest()
+
+
+def verified(authkey: bytes, label: bytes, data: bytes, mac: bytes) -> bool:
+    """Whether ``mac`` is :func:`sign`'s MAC of ``data`` (constant time)."""
+    return hmac.compare_digest(sign(authkey, label, data), mac)
+
+
+def _authenticate(sock: socket.socket, authkey: bytes) -> Optional[bytes]:
+    """The worker's side of the session handshake (steps 1 and 2).
+
+    Returns the coordinator's nonce once its MAC checks out, or ``None``
+    when the peer failed the challenge in any way.
+    """
+    from repro.errors import TransportError
+
+    nonce = os.urandom(NONCE_SIZE)
+    sock.settimeout(AUTH_TIMEOUT_S)
+    try:
+        frames.send_frame(sock, frames.AUTH, 0, nonce)
+        answer = frames.recv_frame(sock)
+    except (TransportError, OSError):  # includes socket.timeout
+        return None
+    payload = answer.payload
+    if answer.kind != frames.AUTH or len(payload) != MAC_SIZE + NONCE_SIZE \
+            or not verified(authkey, b"coordinator", nonce, payload[:MAC_SIZE]):
+        return None
+    sock.settimeout(None)
+    return payload[MAC_SIZE:]
 
 
 def _portable(exc: BaseException) -> bytes:
@@ -117,11 +183,13 @@ def _heartbeat_loop(sock: socket.socket, send_lock: threading.Lock,
 
 
 def _serve_connection(sock: socket.socket, registry, state, dedup,
-                      heartbeat_s: float, hello: dict) -> str:
+                      heartbeat_s: float, hello: dict, authkey: bytes) -> str:
     """Serve one connection until it ends; state outlives the session.
 
-    Greets with a READY frame carrying ``hello`` (the coordinator uses
-    the pid to verify it reconnected to the same incarnation), starts a
+    Authenticates the peer first (``"unauthenticated"`` if it fails),
+    then greets with a READY frame carrying ``hello`` — signed over the
+    coordinator's nonce; the coordinator uses the pid to verify it
+    reconnected to the same incarnation — and starts a
     per-session heartbeat thread, then answers REQ frames.  Returns why
     the session ended: ``"bye"`` (orderly drain — the worker should
     exit), ``"closed"`` (EOF/reset — the link died, the worker may
@@ -131,11 +199,17 @@ def _serve_connection(sock: socket.socket, registry, state, dedup,
     from repro.errors import FrameProtocolError, TransportClosedError
     from repro.net import serde
 
+    challenge = _authenticate(sock, authkey)
+    if challenge is None:
+        return "unauthenticated"
     send_lock = threading.Lock()
     stop = threading.Event()
     try:
         with send_lock:
-            frames.send_frame(sock, frames.READY, 0, serde.dumps(hello))
+            frames.send_frame(
+                sock, frames.READY, 0,
+                sign(authkey, b"worker", challenge) + serde.dumps(hello),
+            )
     except (TransportClosedError, OSError):
         return "closed"
     beat = threading.Thread(
@@ -188,20 +262,19 @@ def _serve_connection(sock: socket.socket, registry, state, dedup,
 
 
 def worker_main(boot_host: str, boot_port: int, bind_host: str,
-                role: str, index: int, heartbeat_s: float) -> None:
+                role: str, index: int, heartbeat_s: float,
+                authkey: bytes) -> None:
     """Listen on a real address and serve coordinator sessions until BYE.
 
     Binds an ephemeral port on ``bind_host``, registers
-    ``{pid, host, port}`` with the coordinator through a one-shot
-    bootstrap connection, then accepts coordinator sessions one at a
-    time.  A severed or corrupted session returns to the accept loop
+    ``{pid, host, port}`` (signed with ``authkey``) with the coordinator
+    through a one-shot bootstrap connection, then accepts authenticated
+    coordinator sessions one at a time.  A severed or corrupted session returns to the accept loop
     with all hosted state intact — reconnect-and-resend is the
     coordinator's job.  BYE (graceful drain) ends the process, and so
     does losing the coordinator: the accept wait is bounded by
     ``heartbeat_s`` and the loop exits once the parent pid changes.
     """
-    import os
-
     from repro.federated.site import FederatedWorkerRegistry
     from repro.net import serde
 
@@ -214,10 +287,13 @@ def worker_main(boot_host: str, boot_port: int, bind_host: str,
     host, port = listener.getsockname()[:2]
     boot = socket.create_connection((boot_host, boot_port))
     try:
-        frames.send_frame(boot, frames.READY, 0, serde.dumps({
+        registration = serde.dumps({
             "pid": os.getpid(), "host": host, "port": port,
             "role": role, "index": index,
-        }))
+        })
+        frames.send_frame(boot, frames.READY, 0,
+                          sign(authkey, b"register", registration)
+                          + registration)
     finally:
         try:
             boot.close()
@@ -244,7 +320,7 @@ def worker_main(boot_host: str, boot_port: int, bind_host: str,
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             try:
                 reason = _serve_connection(
-                    sock, registry, state, dedup, heartbeat_s, hello
+                    sock, registry, state, dedup, heartbeat_s, hello, authkey
                 )
             finally:
                 try:

@@ -38,7 +38,12 @@ from typing import Optional
 
 import numpy as np
 
-from repro.errors import ServingError, WorkerDiedError, WorkerRespawnError
+from repro.errors import (
+    ServingError,
+    TransportError,
+    WorkerDiedError,
+    WorkerRespawnError,
+)
 from repro.serving.metrics import ServingMetrics
 from repro.serving.qos import QosController
 from repro.serving.registry import ModelRegistry
@@ -204,23 +209,32 @@ class ShardedScoringService(ScoringService):
         before = transport.incarnation("serve", shard)
         try:
             scores = transport.call("serve", shard, request, "serve.worker")
+            if transport.incarnation("serve", shard) != before:
+                # the fresh incarnation re-attached the weights in replay
+                counts = transport.call("serve", shard, ("call", _attached))
+                self.metrics.record_worker_attach(
+                    shard, counts["segments"], counts["verified"]
+                )
         except WorkerRespawnError as exc:
             self.metrics.record_worker_death(shard)  # the one past the limit
             raise WorkerDiedError(
                 f"worker {shard} died {exc.deaths} times executing one "
                 f"batch (respawn_limit={self.respawn_limit})"
             ) from exc
+        except TransportError as exc:
+            # the worker died and could not be brought back (spawn or
+            # replay failed, or the transport closed): the slot holds a
+            # dead incarnation that the next batch respawns
+            self.metrics.record_worker_death(shard)
+            raise WorkerDiedError(
+                f"worker {shard} died executing one batch and was not "
+                f"respawned: {exc}"
+            ) from exc
         finally:
             respawns = transport.incarnation("serve", shard) - before
             for __ in range(respawns):
                 self.metrics.record_worker_death(shard)
                 self.metrics.record_worker_respawn(shard, resent=n_requests)
-        if respawns > 0:
-            # the fresh incarnation re-attached the weights during replay
-            counts = transport.call("serve", shard, ("call", _attached))
-            self.metrics.record_worker_attach(
-                shard, counts["segments"], counts["verified"]
-            )
         self.metrics.record_worker_batch(shard, n_requests)
         return scores
 

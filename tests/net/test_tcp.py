@@ -1,11 +1,13 @@
-"""The worker transport end to end: dialable addresses, severed links,
-reconnects, and workers that do not outlive their coordinator.
+"""The worker transport end to end: dialable addresses, authenticated
+sessions, severed links, reconnects, failed replays, and workers that do
+not outlive their coordinator.
 
 These tests spawn actual OS processes (spawn context), so they share one
 module-scoped transport with a fast heartbeat and near-zero reconnect
 backoff instead of paying a Python+numpy interpreter start per test.
 """
 
+import functools
 import os
 import signal
 import socket
@@ -19,8 +21,11 @@ import pytest
 import repro
 
 from repro.config import ReproConfig
+from repro.errors import TransportError
+from repro.net import frames, serde
 from repro.net.chaos import ChaosTransport
 from repro.net.proc import ProcTransport
+from repro.net.worker import MAC_SIZE, NONCE_SIZE, sign
 from repro.tensor import BasicTensorBlock
 from repro.tensor import ops
 
@@ -104,6 +109,87 @@ class TestAddressRegistry:
         assert (handle.host, handle.port) == transport._addresses[("fed", owner)]
 
 
+def _idle_worker(transport, address):
+    """A site worker whose coordinator session just ended, so the next
+    connection to its address is the one its accept loop takes."""
+    owner = transport._owner(address)
+    handle = transport._pools["fed"][owner]
+    _sever(handle)
+    return handle
+
+
+def _stray_request(host, port, marker, answer):
+    """Connect like a stranger, send ``answer`` to the worker's challenge
+    and then a REQ that would create ``marker``; return whether the worker
+    hung up instead of answering."""
+    evil = serde.dumps(("task", functools.partial(os.mkdir, str(marker))))
+    with socket.create_connection((host, port), timeout=10.0) as stray:
+        challenge = frames.recv_frame(stray)
+        assert challenge.kind == frames.AUTH
+        if answer is not None:
+            frames.send_frame(stray, frames.AUTH, 0, answer(challenge.payload))
+        try:
+            frames.send_frame(stray, frames.REQ, 1, evil)
+            reply = frames.recv_frame(stray)
+        except (TransportError, OSError):
+            return True
+        return reply.kind not in (frames.RES, frames.ERR, frames.READY)
+
+
+class TestAuthentication:
+    @pytest.mark.parametrize("answer", [
+        None,  # skip the challenge, go straight to REQ
+        lambda nonce: bytes(MAC_SIZE) + os.urandom(NONCE_SIZE),
+        lambda nonce: sign(os.urandom(32), b"coordinator", nonce)
+        + os.urandom(NONCE_SIZE),  # signed with the wrong key
+    ], ids=["no-answer", "zero-mac", "wrong-key"])
+    def test_unauthenticated_request_never_executes(
+        self, transport, registry, tmp_path, answer
+    ):
+        data = np.arange(4.0).reshape(2, 2)
+        site = _host(registry, "tcp-auth:9001", data)
+        handle = _idle_worker(transport, "tcp-auth:9001")
+        marker = tmp_path / "pwned"
+        assert _stray_request(handle.host, handle.port, marker, answer)
+        assert not marker.exists()
+        # the worker dropped the stranger and still serves its coordinator
+        np.testing.assert_array_equal(site.fetch("X").to_numpy(), data)
+        assert transport._pools["fed"][transport._owner(
+            "tcp-auth:9001")].pid == handle.pid
+        assert not marker.exists()
+
+    def test_silent_stranger_cannot_hold_the_worker(self, transport, registry):
+        data = np.ones((3, 3))
+        site = _host(registry, "tcp-hold:9001", data)
+        handle = _idle_worker(transport, "tcp-hold:9001")
+        before = transport.snapshot()
+        with socket.create_connection((handle.host, handle.port),
+                                      timeout=10.0):
+            # the stranger never answers; the worker gives up on it after
+            # its handshake timeout and accepts the coordinator's redial
+            np.testing.assert_array_equal(site.fetch("X").to_numpy(), data)
+        snap = transport.snapshot()
+        assert snap["worker_respawns"] == before["worker_respawns"]
+
+    def test_registration_skips_unsigned_connections(self, transport,
+                                                     tmp_path):
+        marker = tmp_path / "pwned"
+        evil = serde.dumps(functools.partial(os.mkdir, str(marker)))
+        genuine = serde.dumps({"pid": 1, "host": "127.0.0.1", "port": 2})
+        with socket.socket() as boot:
+            boot.bind(("127.0.0.1", 0))
+            boot.listen(8)
+            address = boot.getsockname()
+            for payload in (evil, bytes(MAC_SIZE) + evil,
+                            sign(transport._authkey, b"register", genuine)
+                            + genuine):
+                with socket.create_connection(address) as conn:
+                    frames.send_frame(conn, frames.READY, 0, payload)
+            hello = transport._registration(boot, "fed", 0)
+        assert hello == {"pid": 1, "host": "127.0.0.1", "port": 2}
+        assert not marker.exists()
+
+
 class TestRoundTrips:
     def test_put_fetch_round_trip(self, registry):
         data = np.arange(12.0).reshape(3, 4)
@@ -177,6 +263,42 @@ class TestLinkDownVsPeerDead:
         assert fresh.pid != pid_before
         assert (fresh.host, fresh.port) != addr_before
         assert transport._addresses[("fed", owner)] == (fresh.host, fresh.port)
+
+
+class TestFailedReplay:
+    def test_failed_replay_kills_the_incarnation_and_retries(self, tmp_path):
+        flag = str(tmp_path / "flag")
+        with open(flag, "w") as handle:
+            handle.write("ok")
+
+        def load(state):
+            # replayable only while the flag file exists
+            with open(flag) as handle:
+                state["value"] = handle.read()
+            return state["value"]
+
+        t = ProcTransport(site_workers=1, task_workers=1, heartbeat_s=0.1,
+                          request_timeout_s=20.0, reconnect_backoff_ms=1.0,
+                          reconnect_backoff_max_ms=5.0)
+        try:
+            t.add_pool("job", 1)
+            assert t.call("job", 0, ("call", load), log_key="load") == "ok"
+            os.remove(flag)
+            t._pools["job"][0].kill()
+            # the respawn's replay fails worker-side: a transport error, not
+            # the worker's FileNotFoundError, and no half-built incarnation
+            with pytest.raises(TransportError, match="replay into job worker"):
+                t.call("job", 0, ("call", lambda state: state["value"]))
+            failed = t._pools["job"][0]
+            assert failed.incarnation == 1
+            assert not failed.alive()
+            with open(flag, "w") as handle:
+                handle.write("again")
+            # the next request respawns and replays the log once more
+            assert t.call("job", 0, ("call", lambda s: s["value"])) == "again"
+            assert t.incarnation("job", 0) == 2
+        finally:
+            t.close()
 
 
 class TestLifecycle:

@@ -10,13 +10,15 @@ segment — also after a worker was SIGKILLed and respawned.
 import os
 
 import numpy as np
+import pytest
 
 from repro.config import ReproConfig
+from repro.errors import TransportError, WorkerDiedError
 from repro.io import shm as shm_mod
 from repro.net.chaos import ChaosTransport
 from repro.net.proc import ProcTransport
 from repro.resilience.manager import ResilienceManager
-from repro.serving import ModelRegistry, ShardedScoringService
+from repro.serving import ModelRegistry, ShardedScoringService, shard_of
 
 FEATURES = 6
 SCRIPT = "yhat = X %*% B"
@@ -81,6 +83,38 @@ class TestWireChaos:
         try:
             with service:
                 assert type(service._transport) is ProcTransport
+        finally:
+            registry.close()
+
+
+class TestUnrecoverableDeath:
+    def test_failed_respawn_is_a_counted_worker_death(self):
+        x = np.ones((1, FEATURES))
+        registry, service = _service()
+        try:
+            with service:
+                expected = service.score("lm", x, timeout=60.0)
+                transport = service._transport
+                shard = shard_of("lm", 2)
+                spawn = transport._spawn
+
+                def broken(*args, **kwargs):
+                    raise TransportError("injected spawn failure")
+
+                transport._spawn = broken
+                transport._pools["serve"][shard].kill()
+                # the transport cannot bring the shard back: the caller gets
+                # a serving error, and the death is on the shard's record
+                with pytest.raises(WorkerDiedError, match="not respawned"):
+                    service.score("lm", x, timeout=60.0)
+                stats = service.snapshot()["workers"][str(shard)]
+                assert (stats["deaths"], stats["respawns"]) == (1, 0)
+                # the next batch respawns, replays the registry, and scores
+                transport._spawn = spawn
+                assert np.array_equal(service.score("lm", x, timeout=60.0),
+                                      expected)
+                stats = service.snapshot()["workers"][str(shard)]
+                assert (stats["deaths"], stats["respawns"]) == (2, 1)
         finally:
             registry.close()
 
