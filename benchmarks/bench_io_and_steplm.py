@@ -24,17 +24,10 @@ def csv_file(tmp_path_factory):
 
 
 class TestA7Readers:
-    def test_a7_generic_reader_parallel(self, benchmark, csv_file):
+    def test_a7_generic_reader(self, benchmark, csv_file):
         path, data = csv_file
         result = benchmark.pedantic(
-            lambda: csv_io.read_csv_matrix(path, num_threads=4), rounds=3, iterations=1
-        )
-        assert result.shape == data.shape
-
-    def test_a7_generic_reader_single_thread(self, benchmark, csv_file):
-        path, data = csv_file
-        result = benchmark.pedantic(
-            lambda: csv_io.read_csv_matrix(path, num_threads=1), rounds=3, iterations=1
+            lambda: csv_io.read_csv_matrix(path), rounds=3, iterations=1
         )
         assert result.shape == data.shape
 
@@ -53,10 +46,10 @@ class TestA7Readers:
 
     def test_a7_all_readers_agree(self, csv_file):
         path, data = csv_file
-        generic = csv_io.read_csv_matrix(path, num_threads=4).to_numpy()
+        generic = csv_io.read_csv_matrix(path).to_numpy()
         generated = generate_reader(DelimitedFormat("check"))(path).to_numpy()
-        np.testing.assert_allclose(generic, data)
-        np.testing.assert_allclose(generated, data)
+        np.testing.assert_array_equal(generic, data)
+        np.testing.assert_array_equal(generated, data)
 
 
 # ---------------------------------------------------------------------------

@@ -8,14 +8,6 @@ booleans, or strings).  ``--stats`` prints runtime metrics after execution,
 ``--explain`` the compiled runtime program, ``--lineage`` enables lineage
 tracing and ``--reuse`` lineage-based reuse of intermediates.
 
-``--serve-bench`` runs the concurrent model-scoring smoke bench instead of
-a script (micro-batched vs. one-at-a-time throughput; see
-``repro.serving.bench``), optionally writing ``BENCH_serving.json`` via
-``--serve-out``.  ``--serve-procs 1,2,4`` instead measures the
-multi-process data plane (OS worker processes scoring against
-shared-memory weights) as a scaling curve, and ``--serve-kill-worker``
-adds a SIGKILL-one-worker chaos run with recovery counters.
-
 ``--checkpoint-dir DIR`` snapshots live variables at loop/top-level block
 boundaries (``--checkpoint-every N`` thins the cadence); after a crash,
 ``--resume`` restores the manifest and fast-forwards the program to the
@@ -64,8 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro-dml",
         description="Execute a DML script on the repro SystemDS reproduction.",
     )
-    parser.add_argument("script", nargs="?", default=None,
-                        help="path to the .dml script")
+    parser.add_argument("script", help="path to the .dml script")
     parser.add_argument("--args", nargs="*", metavar="NAME=VALUE",
                         help="scalar input bindings")
     parser.add_argument("--stats", action="store_true",
@@ -108,18 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
     transport.add_argument("--heartbeat-interval", type=float, default=None,
                            metavar="S",
                            help="worker heartbeat cadence (default 0.25)")
-    transport.add_argument("--heartbeat-grace", type=float, default=None,
-                           metavar="N",
-                           help="silent heartbeat intervals before a miss "
-                                "is counted (default 3)")
-    transport.add_argument("--connect-timeout", type=float, default=None,
-                           metavar="S",
-                           help="tcp dial + READY-greeting deadline "
-                                "(default 5)")
-    transport.add_argument("--reconnect-retries", type=int, default=None,
-                           metavar="N",
-                           help="redials after a severed tcp link before "
-                                "the peer is declared dead (default 4)")
     parser.add_argument("--trace-threshold", type=int, default=None,
                         metavar="N",
                         help="block executions before a trace is compiled "
@@ -138,25 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="let eligible kernels execute directly on "
                           "still-compressed restored blocks (results match "
                           "within float tolerance, not bitwise)")
-    serving = parser.add_argument_group("model serving")
-    serving.add_argument("--serve-bench", action="store_true",
-                         help="run the concurrent scoring smoke bench")
-    serving.add_argument("--serve-requests", type=int, default=1000,
-                         help="serve-bench burst size")
-    serving.add_argument("--serve-workers", type=int, default=4,
-                         help="serve-bench worker threads")
-    serving.add_argument("--serve-batch", type=int, default=32,
-                         help="serve-bench micro-batch size cap")
-    serving.add_argument("--serve-procs", metavar="N[,N...]", default=None,
-                         help="run the multi-process serving scaling bench "
-                              "over these worker-process counts (e.g. "
-                              "1,2,4,8); workers score against shared-memory "
-                              "weights")
-    serving.add_argument("--serve-kill-worker", action="store_true",
-                         help="add a kill-one-worker chaos run to the "
-                              "scaling bench (SIGKILL mid-batch, seeded)")
-    serving.add_argument("--serve-out", metavar="PATH", default=None,
-                         help="write the serve-bench JSON report")
     resilience = parser.add_argument_group("resilience / fault injection")
     resilience.add_argument(
         "--inject-faults", metavar="SPEC", default=None,
@@ -190,23 +150,6 @@ def main(argv=None) -> int:
     """Entry point of ``repro-dml``; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.serve_bench or args.serve_procs or args.serve_kill_worker:
-        from repro.serving.bench import main as serve_bench_main
-
-        bench_args = [
-            "--requests", str(args.serve_requests),
-            "--workers", str(args.serve_workers),
-            "--max-batch", str(args.serve_batch),
-        ]
-        if args.serve_procs:
-            bench_args += ["--procs", args.serve_procs]
-        if args.serve_kill_worker:
-            bench_args += ["--kill-worker"]
-        if args.serve_out:
-            bench_args += ["--out", args.serve_out]
-        return serve_bench_main(bench_args)
-    if args.script is None:
-        parser.error("a script path is required unless --serve-bench is given")
     overrides = {}
     if args.mem > 0:
         overrides["memory_budget"] = args.mem * 1024 * 1024
@@ -232,12 +175,6 @@ def main(argv=None) -> int:
         overrides["transport_request_timeout_s"] = args.request_timeout
     if args.heartbeat_interval is not None:
         overrides["heartbeat_interval_s"] = args.heartbeat_interval
-    if args.heartbeat_grace is not None:
-        overrides["heartbeat_miss_grace"] = args.heartbeat_grace
-    if args.connect_timeout is not None:
-        overrides["tcp_connect_timeout_s"] = args.connect_timeout
-    if args.reconnect_retries is not None:
-        overrides["tcp_reconnect_retries"] = args.reconnect_retries
     if args.trace_threshold is not None:
         overrides["trace_threshold"] = args.trace_threshold
     if args.pool_budget is not None:

@@ -88,15 +88,6 @@ class ReproConfig:
     #: Worker heartbeat cadence (s) on the transport socket; also the
     #: coordinator's receive-poll slice while awaiting a response.
     heartbeat_interval_s: float = 0.25
-    #: Silent grace, in heartbeat intervals, before a missed heartbeat is
-    #: counted and the worker process is probed for liveness.
-    heartbeat_miss_grace: float = 3.0
-    #: Connect + READY-greeting deadline (s) when dialing a tcp worker
-    #: (bounds half-open connection detection).
-    tcp_connect_timeout_s: float = 5.0
-    #: Redial attempts after a severed tcp link before the peer is
-    #: declared dead (escalating to respawn + publication replay).
-    tcp_reconnect_retries: int = 4
 
     # --- optimizer feature flags (ablations) ---------------------------------
     enable_rewrites: bool = True
@@ -211,14 +202,6 @@ class ReproConfig:
             raise ValueError("transport_request_timeout_s must be positive")
         if self.heartbeat_interval_s <= 0:
             raise ValueError("heartbeat_interval_s must be positive")
-        if self.heartbeat_miss_grace < 1.0:
-            raise ValueError(
-                "heartbeat_miss_grace must be >= 1 heartbeat interval"
-            )
-        if self.tcp_connect_timeout_s <= 0:
-            raise ValueError("tcp_connect_timeout_s must be positive")
-        if self.tcp_reconnect_retries < 0:
-            raise ValueError("tcp_reconnect_retries must be >= 0")
         if self.retry_budget < 0:
             raise ValueError("retry_budget must be >= 0")
         if self.max_instructions is not None and self.max_instructions < 1:

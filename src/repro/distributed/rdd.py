@@ -44,9 +44,9 @@ class SimSparkContext:
         self.parallelism = max(1, parallelism)
         self.default_partitions = default_partitions or self.parallelism
         self.resilience = resilience
-        #: Optional :class:`repro.net.Transport`; None (or the in-proc
-        #: transport) keeps task execution a direct call on the pool thread,
-        #: the tcp transport round-trips each task to an executor process.
+        #: Optional :class:`repro.net.ProcTransport`; None keeps task
+        #: execution a direct call on the pool thread, the tcp transport
+        #: round-trips each task to an executor process.
         self.transport = transport
         self._pool: Optional[concurrent.futures.ThreadPoolExecutor] = None
         self._lock = threading.RLock()

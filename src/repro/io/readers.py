@@ -9,7 +9,6 @@ from __future__ import annotations
 import os
 from typing import Dict, Union
 
-from repro.config import ReproConfig
 from repro.errors import IOFormatError
 from repro.io import binary as binary_io
 from repro.io import csv as csv_io
@@ -36,7 +35,7 @@ def _param_bool(params: Dict, name: str, default: bool) -> bool:
     return bool(value)
 
 
-def read_any(path: str, params: Dict, config: ReproConfig) -> Union[BasicTensorBlock, Frame]:
+def read_any(path: str, params: Dict) -> Union[BasicTensorBlock, Frame]:
     """Read a matrix or frame, resolving format and schema metadata."""
     if not os.path.exists(path):
         raise IOFormatError(f"input file not found: {path}")
@@ -51,9 +50,7 @@ def read_any(path: str, params: Dict, config: ReproConfig) -> Union[BasicTensorB
         schema = meta.get("schema")
         return csv_io.read_csv_frame(path, sep=sep, header=header, schema=schema)
     if format_name == "csv":
-        return csv_io.read_csv_matrix(
-            path, sep=sep, header=header, num_threads=config.parallelism
-        )
+        return csv_io.read_csv_matrix(path, sep=sep, header=header)
     if format_name == "binary":
         return binary_io.read_binary_matrix(path)
     if format_name == "text":

@@ -19,26 +19,8 @@ from repro.io import binary as binary_io
 from repro.io import csv as csv_io
 from repro.io.atomic import atomic_open
 from repro.io.mtd import write_mtd
-from repro.runtime.data import ScalarObject
+from repro.io.readers import _param_bool, _param_str
 from repro.tensor import BasicTensorBlock, Frame
-
-
-def _param_str(params: Dict, name: str, default: str) -> str:
-    value = params.get(name)
-    if value is None:
-        return default
-    if isinstance(value, ScalarObject):
-        return value.as_string()
-    return str(value)
-
-
-def _param_bool(params: Dict, name: str, default: bool) -> bool:
-    value = params.get(name)
-    if value is None:
-        return default
-    if isinstance(value, ScalarObject):
-        return value.as_bool()
-    return bool(value)
 
 
 def write_matrix(block: BasicTensorBlock, path: str, params: Dict) -> None:

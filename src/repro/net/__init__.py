@@ -2,8 +2,8 @@
 
 Selects *where* federated sites, RDD tasks and scoring shards execute:
 
-* :class:`InProcTransport` — thread simulations, zero overhead, the
-  tier-1 default;
+* ``transport="inproc"`` (the tier-1 default) has no transport object:
+  thread simulations, zero overhead;
 * :class:`ProcTransport` — the one worker pool: spawn-context OS
   processes listening on dialable TCP addresses, speaking the
   length-prefixed, checksummed, request-id-tagged frame protocol of
@@ -18,18 +18,11 @@ Selects *where* federated sites, RDD tasks and scoring shards execute:
 :class:`~repro.config.ReproConfig` (``transport="inproc"|"tcp"``).
 """
 
-from repro.net.transport import (
-    InProcTransport,
-    Transport,
-    for_config,
-    registry_for,
-)
+from repro.net.transport import for_config, registry_for
 
 __all__ = [
     "ChaosTransport",
-    "InProcTransport",
     "ProcTransport",
-    "Transport",
     "for_config",
     "registry_for",
 ]

@@ -90,7 +90,7 @@ from repro.errors import (
 )
 from repro.federated.site import FederatedWorkerRegistry
 from repro.net import frames, serde
-from repro.net.transport import STAT_KEYS, Transport
+from repro.net.transport import STAT_KEYS
 from repro.net.worker import (
     AUTH_TIMEOUT_S,
     MAC_SIZE,
@@ -259,7 +259,7 @@ class ProxyRegistry(FederatedWorkerRegistry):
         )
 
 
-class ProcTransport(Transport):
+class ProcTransport:
     """The worker-process transport (see module docstring)."""
 
     name = "tcp"
@@ -332,18 +332,17 @@ class ProcTransport(Transport):
 
         ``config=None`` resolves through a default config so a bare
         ``default()`` and a ``default(ReproConfig())`` agree on the same
-        singleton instead of churning it.
+        singleton instead of churning it.  Knobs the config does not
+        carry (miss grace, connect timeout, reconnect retries) keep the
+        constructor defaults.
         """
         if config is None:
             from repro.config import ReproConfig
             config = ReproConfig()
         return {
             "heartbeat_s": config.heartbeat_interval_s,
-            "miss_grace": config.heartbeat_miss_grace,
             "request_timeout_s": config.transport_request_timeout_s,
             "host": config.transport_host,
-            "connect_timeout_s": config.tcp_connect_timeout_s,
-            "reconnect_retries": config.tcp_reconnect_retries,
         }
 
     @classmethod
@@ -366,19 +365,28 @@ class ProcTransport(Transport):
                 cls._instance = instance
             return instance
 
-    # --- Transport interface -------------------------------------------------
+    # --- runtime interface ---------------------------------------------------
 
     def registry(self) -> ProxyRegistry:
+        """The registry of site proxies this transport hosts sites in."""
         return self._registry
 
     def run_task(self, task) -> List:
+        """Execute one RDD per-partition task and return its records."""
         index = next(self._task_rr) % len(self._pools["rdd"])
         return self.call("rdd", index, ("task", task), "rdd.worker")
 
     def bind_resilience(self, resilience) -> None:
+        """Attach the run's :class:`~repro.resilience.ResilienceManager`.
+
+        Gives the transport the fault injector (for the ``fed.worker`` /
+        ``rdd.worker`` SIGKILL points) and the shared stats so worker
+        deaths/respawns are counted in the resilience section too.
+        """
         self._resilience = resilience
 
     def snapshot(self) -> dict:
+        """The obs ``transport`` section (stable keys: ``STAT_KEYS``)."""
         with self._stats_lock:
             snap = dict(self._stats)
         snap["mode"] = self.name

@@ -1,28 +1,23 @@
-"""The transport interface: where federated sites and RDD tasks execute.
+"""Transport selection: where federated sites and RDD tasks execute.
 
-A :class:`Transport` answers two questions for the runtime:
-
-* *where do federated sites live?* — :meth:`Transport.registry` returns
-  the :class:`~repro.federated.site.FederatedWorkerRegistry` (or a
-  registry of site *proxies*) that hosts them;
-* *where do RDD tasks run?* — :meth:`Transport.run_task` executes one
-  per-partition task callable.
-
-:class:`InProcTransport` keeps today's behaviour bit-for-bit: sites are
-in-process objects in the default registry and tasks run directly on the
-calling thread (the Spark context's thread pool).  It is the tier-1
-default because it adds zero overhead.  :class:`~repro.net.proc.
-ProcTransport` (``transport="tcp"``) moves both behind real OS processes
-on dialable TCP addresses and a frame protocol, so the resilience and
-checkpoint layers face genuine process deaths and severed links.
+``transport="inproc"`` (the tier-1 default) has no transport object:
+:func:`for_config` returns ``None`` and the runtime keeps sites in the
+default in-process registry and runs tasks as direct calls.
+``transport="tcp"`` selects :class:`~repro.net.proc.ProcTransport`, which
+moves both behind real OS processes on dialable TCP addresses and a frame
+protocol, so the resilience and checkpoint layers face genuine process
+deaths and severed links.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import TYPE_CHECKING, Optional
 
-#: Stable key set of every transport's stats snapshot, so obs reports and
-#: CI assertions can rely on the keys existing in both modes.
+if TYPE_CHECKING:
+    from repro.net.proc import ProcTransport
+
+#: Stable key set of the transport stats snapshot, so obs reports and CI
+#: assertions can rely on the keys existing.
 STAT_KEYS = (
     "frames_sent",
     "frames_received",
@@ -35,7 +30,7 @@ STAT_KEYS = (
     "resent_requests",
     "dedup_hits",
     "replayed_publications",
-    # link lifecycle and wire chaos (always-zero under inproc)
+    # link lifecycle and wire chaos
     "reconnects",
     "partitions",
     "frames_dropped",
@@ -44,55 +39,7 @@ STAT_KEYS = (
 )
 
 
-class Transport:
-    """Strategy interface for remote execution (see module docstring)."""
-
-    name = "abstract"
-
-    def registry(self):
-        """The federated worker registry this transport hosts sites in."""
-        raise NotImplementedError
-
-    def run_task(self, task: Callable[[], List]) -> List:
-        """Execute one RDD per-partition task and return its records."""
-        raise NotImplementedError
-
-    def bind_resilience(self, resilience) -> None:
-        """Attach the run's :class:`~repro.resilience.ResilienceManager`.
-
-        Gives the transport the fault injector (for the ``fed.worker`` /
-        ``rdd.worker`` SIGKILL points) and the shared stats so worker
-        deaths/respawns are counted in the resilience section too.
-        """
-
-    def snapshot(self) -> dict:
-        """The obs ``transport`` section (stable keys: ``STAT_KEYS``)."""
-        raise NotImplementedError
-
-    def close(self) -> None:
-        """Release transport resources (workers, sockets)."""
-
-
-class InProcTransport(Transport):
-    """Thread-simulation transport: the zero-overhead tier-1 default."""
-
-    name = "inproc"
-
-    def registry(self):
-        from repro.federated.site import FederatedWorkerRegistry
-
-        return FederatedWorkerRegistry.default()
-
-    def run_task(self, task: Callable[[], List]) -> List:
-        return task()
-
-    def snapshot(self) -> dict:
-        snap = {key: 0 for key in STAT_KEYS}
-        snap["mode"] = self.name
-        return snap
-
-
-def for_config(config) -> Optional[Transport]:
+def for_config(config) -> Optional["ProcTransport"]:
     """The transport a :class:`~repro.config.ReproConfig` selects.
 
     Returns ``None`` for ``inproc`` — the runtime treats a missing

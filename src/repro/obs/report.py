@@ -96,7 +96,7 @@ def attach_federated(registry: StatsRegistry, worker_registry=None) -> None:
 
 
 def attach_transport(registry: StatsRegistry, transport) -> None:
-    """Feed a ``repro.net.Transport.snapshot()`` into ``transport``."""
+    """Feed a ``repro.net.ProcTransport.snapshot()`` into ``transport``."""
     registry.attach("transport", transport.snapshot)
 
 

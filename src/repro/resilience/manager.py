@@ -97,7 +97,7 @@ class ResilienceManager:
         )
 
     def bind_transport(self, transport) -> None:
-        """Attach a :class:`repro.net.Transport` to this run's resilience.
+        """Attach a :class:`repro.net.ProcTransport` to this run's resilience.
 
         Points the federated channel's blacklist/failover registry at the
         transport's (so breakers and failover work identically against

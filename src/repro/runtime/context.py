@@ -50,7 +50,7 @@ class ExecutionContext:
         #: Optional :class:`repro.resilience.ResilienceManager`; None keeps
         #: every tolerance hook on its zero-overhead fast path.
         self.faults = faults
-        #: Optional :class:`repro.net.Transport`; None is the in-process
+        #: Optional :class:`repro.net.ProcTransport`; None is the in-process
         #: fast path (sites in the default registry, tasks as direct calls).
         self.transport = None
         if getattr(config, "transport", "inproc") != "inproc":

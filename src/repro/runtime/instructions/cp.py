@@ -633,7 +633,7 @@ class ReadInstruction(Instruction):
             name: self._resolve(operand, ctx)
             for name, operand in zip(self.params.get("names", []), self.inputs[1:])
         }
-        result = readers.read_any(path, named, ctx.config)
+        result = readers.read_any(path, named)
         if ctx.stats is not None:
             ctx.stats.count("persistent_reads")
             ctx.stats.count("bytes_read", int(result.memory_size()))

@@ -11,9 +11,9 @@ plane: a 1/2/4/8-worker scaling curve over :class:`ShardedScoringService`
 kill-one-worker chaos run (``--kill-worker``) that SIGKILLs a worker
 mid-batch under a seeded fault plan and checks bit-identical results.
 
-Runs as ``repro-serve-bench``, via ``repro-dml --serve-bench``, or through
-``benchmarks/bench_serving.py``; writes ``BENCH_serving.json`` with
-``--out``.
+Runs as ``repro-serve-bench``, as ``python -m repro.serving.bench``, or
+through ``benchmarks/bench_serving.py``; writes ``BENCH_serving.json``
+with ``--out``.
 """
 
 from __future__ import annotations

@@ -254,11 +254,10 @@ class TestCli:
     def test_serve_bench_flag(self, tmp_path, capsys):
         import json
 
-        from repro.cli import main
+        from repro.serving.bench import main
 
         out = tmp_path / "BENCH_serving.json"
-        rc = main(["--serve-bench", "--serve-requests", "40",
-                   "--serve-out", str(out)])
+        rc = main(["--requests", "40", "--out", str(out)])
         assert rc == 0
         report = json.loads(out.read_text())
         assert report["batched"]["throughput_rps"] > 0

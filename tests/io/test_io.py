@@ -1,11 +1,11 @@
 """Tests for CSV/binary/text readers and writers plus metadata files."""
 
+import io
 import json
 
 import numpy as np
 import pytest
 
-from repro.config import ReproConfig
 from repro.errors import IOFormatError
 from repro.io import binary as binary_io
 from repro.io import csv as csv_io
@@ -16,11 +16,6 @@ from repro.tensor import BasicTensorBlock, Frame
 from repro.types import ValueType
 
 
-@pytest.fixture
-def cfg():
-    return ReproConfig(parallelism=4)
-
-
 class TestCsvMatrix:
     def test_roundtrip(self, tmp_path):
         data = np.random.default_rng(0).random((20, 5))
@@ -29,13 +24,25 @@ class TestCsvMatrix:
         back = csv_io.read_csv_matrix(path)
         np.testing.assert_allclose(back.to_numpy(), data)
 
-    def test_multithreaded_parse_matches_single(self, tmp_path):
+    def test_large_file_reads_bit_exact(self, tmp_path):
+        # over 64 KiB, with a header line and a trailing newline
         data = np.random.default_rng(1).random((5000, 8))
-        path = str(tmp_path / "big.csv")
-        csv_io.write_csv_matrix(BasicTensorBlock.from_numpy(data), path)
-        single = csv_io.read_csv_matrix(path, num_threads=1)
-        multi = csv_io.read_csv_matrix(path, num_threads=4)
-        np.testing.assert_array_equal(single.to_numpy(), multi.to_numpy())
+        path = tmp_path / "big.csv"
+        body = io.StringIO()
+        np.savetxt(body, data, delimiter=",", fmt="%.17g")
+        path.write_text("c0,c1,c2,c3,c4,c5,c6,c7\n" + body.getvalue())
+        assert path.stat().st_size > 1 << 16
+        assert path.read_text().endswith("\n")
+        block = csv_io.read_csv_matrix(str(path), header=True)
+        np.testing.assert_array_equal(block.to_numpy(), data)
+
+    def test_write_matches_savetxt_bytes(self, tmp_path):
+        data = np.random.default_rng(4).standard_normal((500, 7))
+        path = tmp_path / "w.csv"
+        csv_io.write_csv_matrix(BasicTensorBlock.from_numpy(data), str(path))
+        expected = io.BytesIO()
+        np.savetxt(expected, data, delimiter=",", fmt="%.17g")
+        assert path.read_bytes() == expected.getvalue()
 
     def test_header_skipped(self, tmp_path):
         path = tmp_path / "h.csv"
@@ -138,40 +145,40 @@ class TestMtd:
 
 
 class TestFacades:
-    def test_write_matrix_emits_mtd(self, tmp_path, cfg):
+    def test_write_matrix_emits_mtd(self, tmp_path):
         data = np.ones((4, 3))
         path = str(tmp_path / "out.csv")
         write_matrix(BasicTensorBlock.from_numpy(data), path, {})
         meta = read_mtd(path)
         assert (meta["rows"], meta["cols"]) == (4, 3)
-        back = read_any(path, {}, cfg)
+        back = read_any(path, {})
         np.testing.assert_array_equal(back.to_numpy(), data)
 
-    def test_format_from_mtd(self, tmp_path, cfg):
+    def test_format_from_mtd(self, tmp_path):
         data = np.random.default_rng(3).random((10, 4))
         path = str(tmp_path / "out.dat")
         write_matrix(BasicTensorBlock.from_numpy(data), path, {"format": "binary"})
-        back = read_any(path, {}, cfg)  # format discovered via .mtd
+        back = read_any(path, {})  # format discovered via .mtd
         np.testing.assert_array_equal(back.to_numpy(), data)
 
-    def test_text_cell_roundtrip(self, tmp_path, cfg):
+    def test_text_cell_roundtrip(self, tmp_path):
         block = BasicTensorBlock.rand((20, 20), sparsity=0.2, seed=2)
         path = str(tmp_path / "cells.ijv")
         write_matrix(block, path, {"format": "text"})
-        back = read_any(path, {}, cfg)
+        back = read_any(path, {})
         np.testing.assert_allclose(back.to_numpy(), block.to_numpy())
 
-    def test_frame_roundtrip_via_facade(self, tmp_path, cfg):
+    def test_frame_roundtrip_via_facade(self, tmp_path):
         frame = Frame.from_dict({"a": [1, 2], "b": np.asarray(["x", "y"], dtype=object)})
         path = str(tmp_path / "frame.csv")
         write_frame(frame, path, {})
-        back = read_any(path, {}, cfg)
+        back = read_any(path, {})
         assert isinstance(back, Frame)
         assert back.schema == frame.schema  # schema persisted in .mtd
 
-    def test_missing_file_rejected(self, cfg):
+    def test_missing_file_rejected(self):
         with pytest.raises(IOFormatError, match="not found"):
-            read_any("/nonexistent/file.csv", {}, cfg)
+            read_any("/nonexistent/file.csv", {})
 
 
 class TestDmlReadWrite:
